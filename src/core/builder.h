@@ -30,9 +30,7 @@ public:
 
     // ---- the fields examples actually set --------------------------------
     controller_builder& band(req_per_sec width);
-    controller_builder& threads(std::size_t n);
     controller_builder& self_aware(bool on);
-    controller_builder& delta_eval(bool on);
     controller_builder& degraded(bool on);
     controller_builder& divergence_guard(bool on);
     // Receding-horizon lookahead over `horizon` control windows; 0 disables.

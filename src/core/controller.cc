@@ -32,7 +32,7 @@ utility_model make_bound_utility(const controller_options& options) {
 }
 
 // The greedy rung plans at most one action under a small expansion budget;
-// everything else (menu, scopes, evaluation tuning) matches the main search.
+// everything else (menu, scopes, evaluation options) matches the main search.
 search_options greedy_rung_options(const controller_options& options) {
     search_options out = options.search;
     out.max_plan_actions = 1;

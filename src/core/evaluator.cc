@@ -16,39 +16,30 @@ eval_memo::eval_memo(std::size_t capacity) : capacity_(capacity) {
     MISTRAL_CHECK(capacity >= 1);
 }
 
-std::vector<std::int64_t> eval_memo::quantize(
-    const std::vector<req_per_sec>& rates, req_per_sec quantum) {
+std::vector<std::int64_t> eval_memo::quantize(const std::vector<req_per_sec>& rates) {
     // A NaN rate would silently poison every key it touches (NaN never
-    // compares equal, llround is UB); a negative rate is a caller bug that a
-    // grid key would round into a plausible-looking cell.
+    // compares equal); a negative rate is a caller bug.
     for (const req_per_sec r : rates) {
         MISTRAL_CHECK_MSG(std::isfinite(r) && r >= 0.0,
                           "request rates must be finite and non-negative");
     }
+    // The rate's bit pattern, so only identical workload vectors share
+    // entries: a hit can only ever return a value computed under the
+    // *identical* workload vector — the delta path's bit-identity proof leans
+    // on this.
     std::vector<std::int64_t> key;
     key.reserve(rates.size());
-    if (quantum <= 0.0) {
-        // Exact keys: the rate's bit pattern, so only identical workload
-        // vectors share entries. quantum == 0 therefore guarantees a hit can
-        // only ever return a value computed under the *identical* workload
-        // vector — the delta path's bit-identity proof leans on this.
-        for (const req_per_sec r : rates) {
-            std::int64_t bits;
-            static_assert(sizeof(bits) == sizeof(r));
-            __builtin_memcpy(&bits, &r, sizeof(bits));
-            key.push_back(bits);
-        }
-    } else {
-        for (const req_per_sec r : rates) {
-            key.push_back(static_cast<std::int64_t>(std::llround(r / quantum)));
-        }
+    for (const req_per_sec r : rates) {
+        std::int64_t bits;
+        static_assert(sizeof(bits) == sizeof(r));
+        __builtin_memcpy(&bits, &r, sizeof(bits));
+        key.push_back(bits);
     }
     return key;
 }
 
-void eval_memo::bind_rates(const std::vector<req_per_sec>& rates,
-                           req_per_sec quantum) {
-    auto key = quantize(rates, quantum);
+void eval_memo::bind_rates(const std::vector<req_per_sec>& rates) {
+    auto key = quantize(rates);
     if (bound_ && key == rate_key_) return;
     rate_key_ = std::move(key);
     bound_ = true;
@@ -162,14 +153,9 @@ serial_evaluator::serial_evaluator(const cluster::cluster_model& model,
     : model_(&model),
       utility_(utility),
       lqn_(lqn),
-      options_(options),
-      memo_(options.memo_capacity),
-      app_cache_(options.app_cache_capacity) {
-    MISTRAL_CHECK(options_.threads >= 1 && options_.threads <= 256);
-    MISTRAL_CHECK(options_.memo_capacity >= 1);
-    MISTRAL_CHECK(options_.rate_quantum >= 0.0);
-    MISTRAL_CHECK(options_.app_cache_capacity >= 1);
-    if (auto* reg = obs::metrics_of(options_.sink)) {
+      memo_(memo_entries),
+      app_cache_(app_cache_entries) {
+    if (auto* reg = obs::metrics_of(options.sink)) {
         obs_solves_ = reg->register_counter(
             "mistral_eval_solves_total", "configuration evaluations not served by the memo");
         obs_memo_hits_ = reg->register_counter(
@@ -204,18 +190,12 @@ void serial_evaluator::begin_decision(const std::vector<req_per_sec>& rates) {
             model_->app(app_id{static_cast<std::int32_t>(a)})
                 .target_response_time(rates[a]));
     }
-    // The per-app elements of the quantized key feed app signatures; the
-    // app cache itself is *not* cleared — rates are part of its keys, so
+    // The per-app elements of the rate key feed app signatures; the app
+    // cache itself is *not* cleared — rates are part of its keys, so
     // sub-solves persist across decisions and re-hit when the workload
-    // returns to a previously seen (quantized) level.
-    rate_key_ = eval_memo::quantize(rates, options_.rate_quantum);
-    memo_.bind_rates(rates, options_.rate_quantum);
-}
-
-steady_utility serial_evaluator::compute(const cluster::configuration& config) const {
-    const auto solved = lqn::solve(cluster::to_lqn(*model_, config, rates_),
-                                   model_->host_count(), lqn_);
-    return assemble(config, solved.apps, solved.host_utilization);
+    // returns to a previously seen level.
+    rate_key_ = eval_memo::quantize(rates);
+    memo_.bind_rates(rates);
 }
 
 steady_utility serial_evaluator::assemble(
@@ -241,13 +221,6 @@ steady_utility serial_evaluator::assemble(
 }
 
 steady_utility serial_evaluator::solve_config(const cluster::configuration& config) {
-    if (!options_.delta_eval) {
-        // Whole-configuration solve; charge one sub-solve per app so "LQN
-        // solves per decision" stays comparable with the delta path.
-        stats_.app_solves += model_->app_count();
-        obs_app_solves_.add(static_cast<std::int64_t>(model_->app_count()));
-        return compute(config);
-    }
     const auto deps = cluster::to_lqn(*model_, config, rates_);
     const auto loads = lqn::compute_host_loads(deps, model_->host_count(), lqn_);
     std::vector<lqn::app_result> apps(deps.size());
@@ -343,279 +316,13 @@ void serial_evaluator::reset_memo() {
     stats_ = {};
 }
 
-// ---- parallel_evaluator ----------------------------------------------------
-
-parallel_evaluator::parallel_evaluator(const cluster::cluster_model& model,
-                                       utility_model utility,
-                                       lqn::model_options lqn,
-                                       evaluation_options options)
-    : serial_evaluator(model, utility, lqn, options) {
-    // The calling thread is worker zero; spawn the rest.
-    workers_.reserve(options_.threads - 1);
-    for (std::size_t i = 0; i + 1 < options_.threads; ++i) {
-        workers_.emplace_back([this] { worker_loop(); });
-    }
-}
-
-parallel_evaluator::~parallel_evaluator() {
-    {
-        const std::lock_guard<std::mutex> lock(mutex_);
-        shutdown_ = true;
-    }
-    wake_.notify_all();
-    for (auto& w : workers_) w.join();
-}
-
-void parallel_evaluator::worker_loop() {
-    std::size_t seen_generation = 0;
-    for (;;) {
-        std::uint32_t generation = 0;
-        std::size_t count = 0;
-        {
-            std::unique_lock<std::mutex> lock(mutex_);
-            wake_.wait(lock, [&] {
-                return shutdown_ || job_generation_ != seen_generation;
-            });
-            if (shutdown_) return;
-            seen_generation = job_generation_;
-            generation = static_cast<std::uint32_t>(seen_generation);
-            count = job_count_;
-        }
-        drain(generation, count);
-    }
-}
-
-void parallel_evaluator::drain(std::uint32_t generation, std::size_t count) {
-    for (;;) {
-        std::uint64_t cursor = job_cursor_.load(std::memory_order_acquire);
-        std::size_t i;
-        for (;;) {
-            // A cursor from a different generation means this job is already
-            // over (and possibly replaced); claiming from it would hand out
-            // the *new* job's indices against the old count.
-            if (static_cast<std::uint32_t>(cursor >> 32) != generation) return;
-            i = static_cast<std::uint32_t>(cursor);
-            if (i >= count) return;
-            if (job_cursor_.compare_exchange_weak(cursor, cursor + 1,
-                                                  std::memory_order_acq_rel)) {
-                break;
-            }
-        }
-        try {
-            job_(i);
-        } catch (...) {
-            const std::lock_guard<std::mutex> lock(mutex_);
-            if (!job_error_) job_error_ = std::current_exception();
-        }
-        if (job_done_.fetch_add(1, std::memory_order_acq_rel) + 1 == count) {
-            const std::lock_guard<std::mutex> lock(mutex_);
-            done_.notify_all();
-        }
-    }
-}
-
-void parallel_evaluator::run_job(const std::function<void(std::size_t)>& fn,
-                                 std::size_t count) {
-    if (count == 0) return;
-    std::uint32_t generation = 0;
-    {
-        // run_job only starts after the previous job fully completed, so no
-        // worker is between claim and done-increment here and reseeding the
-        // done counter is race-free.
-        const std::lock_guard<std::mutex> lock(mutex_);
-        job_ = fn;
-        job_count_ = count;
-        job_error_ = nullptr;
-        job_done_.store(0, std::memory_order_relaxed);
-        ++job_generation_;
-        generation = static_cast<std::uint32_t>(job_generation_);
-        job_cursor_.store(static_cast<std::uint64_t>(generation) << 32,
-                          std::memory_order_release);
-    }
-    wake_.notify_all();
-    drain(generation, count);  // the calling thread works the same queue
-    std::unique_lock<std::mutex> lock(mutex_);
-    done_.wait(lock, [&] {
-        return job_done_.load(std::memory_order_acquire) == count;
-    });
-    // All items are done, so no worker will call job_ again this generation.
-    job_ = nullptr;
-    job_count_ = 0;
-    if (job_error_) {
-        auto error = std::exchange(job_error_, nullptr);
-        lock.unlock();
-        std::rethrow_exception(error);
-    }
-}
-
-void parallel_evaluator::parallel_for(std::size_t count,
-                                      const std::function<void(std::size_t)>& fn) {
-    // Pool dispatch costs a few wake-ups; below a handful of items the serial
-    // loop wins outright and keeps the meter's work accounting honest.
-    if (count <= 1 || workers_.empty()) {
-        for (std::size_t i = 0; i < count; ++i) fn(i);
-        return;
-    }
-    run_job(fn, count);
-}
-
-std::vector<isolated_perf> parallel_evaluator::evaluate_isolated_batch(
-    const std::vector<app_sizing>& sizings) {
-    MISTRAL_CHECK_MSG(!rates_.empty(),
-                      "begin_decision() before evaluate_isolated_batch()");
-    stats_.evaluations += sizings.size();
-    obs_solves_.add(static_cast<std::int64_t>(sizings.size()));
-    std::vector<isolated_perf> out(sizings.size());
-    parallel_for(sizings.size(),
-                 [&](std::size_t i) { out[i] = compute_isolated(sizings[i]); });
-    return out;
-}
-
-std::vector<steady_utility> parallel_evaluator::evaluate_batch(
-    const std::vector<cluster::configuration>& configs) {
-    MISTRAL_CHECK_MSG(!rates_.empty(), "begin_decision() before evaluate_batch()");
-    ++stats_.batches;
-    std::vector<steady_utility> out(configs.size());
-    std::vector<bool> resolved(configs.size(), false);
-    // Memo lookups and duplicate folding stay on the calling thread so the
-    // cache's LRU order — and with it every eviction — matches the serial
-    // evaluator exactly.
-    std::unordered_map<cluster::configuration, std::size_t> first_seen;
-    std::vector<std::size_t> work;  // indices needing a real solve
-    for (std::size_t i = 0; i < configs.size(); ++i) {
-        if (const auto* hit = memo_.find(configs[i])) {
-            ++stats_.cache_hits;
-            obs_memo_hits_.add();
-            out[i] = *hit;
-            resolved[i] = true;
-            continue;
-        }
-        const auto [it, inserted] = first_seen.emplace(configs[i], i);
-        if (inserted) {
-            ++stats_.cache_misses;
-            obs_memo_misses_.add();
-            work.push_back(i);
-        } else {
-            // Duplicate within the batch: solved once, copied below.
-            ++stats_.cache_hits;
-            obs_memo_hits_.add();
-        }
-    }
-    if (!work.empty()) {
-        stats_.evaluations += work.size();
-        obs_solves_.add(static_cast<std::int64_t>(work.size()));
-        if (options_.delta_eval) {
-            solve_work_delta(configs, work, out);
-        } else {
-            stats_.app_solves += work.size() * model_->app_count();
-            obs_app_solves_.add(
-                static_cast<std::int64_t>(work.size() * model_->app_count()));
-            parallel_for(work.size(), [&](std::size_t j) {
-                out[work[j]] = compute(configs[work[j]]);
-            });
-        }
-        // Publish in input order (deterministic LRU insertion order).
-        for (const std::size_t i : work) {
-            memo_.insert(configs[i], out[i]);
-            resolved[i] = true;
-        }
-    }
-    for (std::size_t i = 0; i < configs.size(); ++i) {
-        if (resolved[i]) continue;
-        out[i] = out[first_seen.at(configs[i])];
-    }
-    return out;
-}
-
-void parallel_evaluator::solve_work_delta(
-    const std::vector<cluster::configuration>& configs,
-    const std::vector<std::size_t>& work, std::vector<steady_utility>& out) {
-    constexpr std::size_t npos = static_cast<std::size_t>(-1);
-    const std::size_t app_count = model_->app_count();
-
-    // Phase A (calling thread): translate each missed configuration, probe
-    // the app cache, and dedupe signatures pending within the batch. A
-    // pending hit is counted as a cache hit — the serial order would have
-    // inserted that signature's sub-solve before re-probing it — so hit and
-    // miss totals match the serial evaluator exactly.
-    struct delta_plan {
-        std::vector<lqn::app_deployment> deps;
-        lqn::host_loads loads;
-        std::vector<lqn::app_result> apps;   // cache hits filled here
-        std::vector<std::size_t> source;     // sub-job index, or npos if filled
-    };
-    struct sub_job {
-        std::size_t plan = 0;
-        std::size_t app = 0;
-    };
-    std::vector<delta_plan> plans(work.size());
-    std::vector<sub_job> jobs;
-    std::vector<app_signature> job_sigs;
-    std::unordered_map<app_signature, std::size_t, app_signature_hash> pending;
-    for (std::size_t p = 0; p < work.size(); ++p) {
-        auto& plan = plans[p];
-        plan.deps = cluster::to_lqn(*model_, configs[work[p]], rates_);
-        plan.loads = lqn::compute_host_loads(plan.deps, model_->host_count(), lqn_);
-        plan.apps.resize(app_count);
-        plan.source.assign(app_count, npos);
-        for (std::size_t a = 0; a < app_count; ++a) {
-            auto sig = make_app_signature(a, rate_key_[a], plan.deps[a],
-                                          plan.loads.inflation);
-            if (const auto* hit = app_cache_.find(sig)) {
-                ++stats_.app_cache_hits;
-                obs_app_hits_.add();
-                plan.apps[a] = *hit;
-                continue;
-            }
-            if (const auto it = pending.find(sig); it != pending.end()) {
-                ++stats_.app_cache_hits;
-                obs_app_hits_.add();
-                plan.source[a] = it->second;
-                continue;
-            }
-            ++stats_.app_cache_misses;
-            ++stats_.app_solves;
-            obs_app_misses_.add();
-            obs_app_solves_.add();
-            plan.source[a] = jobs.size();
-            pending.emplace(sig, jobs.size());
-            jobs.push_back({p, a});
-            job_sigs.push_back(std::move(sig));
-        }
-    }
-
-    // Phase B (pool): the sub-solves are pure per-index work.
-    std::vector<lqn::app_result> solved(jobs.size());
-    parallel_for(jobs.size(), [&](std::size_t j) {
-        const auto& job = jobs[j];
-        solved[j] = lqn::solve_app(plans[job.plan].deps[job.app],
-                                   plans[job.plan].loads.inflation, lqn_);
-    });
-
-    // Phase C (calling thread): publish sub-solves in miss order — the order
-    // the serial evaluator inserts them — then assemble every plan.
-    for (std::size_t j = 0; j < jobs.size(); ++j) {
-        app_cache_.insert(std::move(job_sigs[j]), solved[j]);
-    }
-    for (std::size_t p = 0; p < work.size(); ++p) {
-        auto& plan = plans[p];
-        for (std::size_t a = 0; a < app_count; ++a) {
-            if (plan.source[a] != npos) plan.apps[a] = solved[plan.source[a]];
-        }
-        out[work[p]] = assemble(configs[work[p]], plan.apps, plan.loads.utilization);
-    }
-}
-
 // ---- factory ---------------------------------------------------------------
 
 std::shared_ptr<utility_evaluator> make_evaluator(const cluster::cluster_model& model,
                                                   utility_model utility,
                                                   lqn::model_options lqn,
                                                   evaluation_options options) {
-    if (options.threads <= 1) {
-        return std::make_shared<serial_evaluator>(model, utility, lqn, options);
-    }
-    return std::make_shared<parallel_evaluator>(model, utility, lqn, options);
+    return std::make_shared<serial_evaluator>(model, utility, lqn, options);
 }
 
 }  // namespace mistral::core

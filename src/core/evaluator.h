@@ -6,43 +6,34 @@
 // Perf-Pwr optimizer (Section IV-A). `utility_evaluator` owns all of that
 // computation — LQN response times, power draw, and the Eq. 1/2 accounting —
 // behind one interface, so the search and the optimizer never touch the
-// lqn::/power:: models directly and the evaluation strategy is pluggable:
+// lqn::/power:: models directly.
 //
-//  * serial_evaluator   — evaluates on the calling thread; the default, and
-//                         the behavioral reference.
-//  * parallel_evaluator — a fixed thread pool evaluates a whole expansion's
-//                         children as one batch. Results are bit-identical to
-//                         the serial evaluator (each configuration is solved
-//                         independently by the same deterministic solver, and
-//                         memo bookkeeping stays on the calling thread).
+// `serial_evaluator` is the one engine. It evaluates on the calling thread
+// through three layers, each consulted only when the one above misses:
 //
-// Both share a per-decision memo (`eval_memo`) keyed by (configuration,
-// quantized request rates): revisited vertices and A* detours hit the cache
-// instead of re-solving the LQN. See DESIGN.md "Utility evaluation engine"
-// for the caching contract — what may be reused within a control window, and
-// why cross-window reuse is bounded by the rate quantum.
+//  * eval_memo — a per-decision memo keyed by (configuration, exact request
+//    rates): revisited vertices and A* detours hit it instead of re-solving.
+//    See DESIGN.md "Utility evaluation engine" for the caching contract.
+//  * app_solve_cache — delta evaluation: the steady utility is a sum of
+//    per-app performance terms plus per-host power, and an app's LQN
+//    sub-solve depends only on its own resource signature — its replicas'
+//    caps, the inflation factors of the hosts they occupy, and its request
+//    rate. Adjacent search vertices differ by one action touching 1–2 apps,
+//    so evaluating a neighbor re-solves only the perturbed apps. The cache
+//    persists across decisions (bounded LRU). See DESIGN.md "Incremental
+//    evaluation".
+//  * lqn::solve_app — the sub-solve itself.
 //
-// Below the memo sits *delta evaluation* (`app_solve_cache`, on by default):
-// the steady utility is a sum of per-app performance terms plus per-host
-// power, and an app's LQN sub-solve depends only on its own resource
-// signature — its replicas' caps, the inflation factors of the hosts they
-// occupy, and its (quantized) request rate. Adjacent search vertices differ
-// by one action touching 1–2 apps, so evaluating a neighbor re-solves only
-// the perturbed apps and reuses cached sub-solves for the rest. The cache
-// persists across decisions (bounded LRU); results are bit-identical to full
-// evaluation because the signature captures, bit-exactly, every input the
-// sub-solve reads. See DESIGN.md "Incremental evaluation".
+// Results are bit-identical to one whole-configuration lqn::solve, because
+// the signature captures, bit-exactly, every input the sub-solve reads; the
+// tests hold the engine to that oracle.
 #pragma once
 
-#include <atomic>
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <list>
 #include <memory>
-#include <mutex>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -86,59 +77,21 @@ struct isolated_perf {
     bool meets_all_targets = true;
 };
 
-// Tuning for the evaluation engine. Defaults are the serial reference
-// configuration; all values are validated on construction (check.h style).
+// Memo entries kept (least-recently-used eviction): one decision's working
+// set (a few thousand vertices on the paper's cluster sizes) fits without
+// eviction.
+inline constexpr std::size_t memo_entries = 4096;
+// Per-app sub-solve entries kept (LRU). Entries are small (one app_result)
+// and the cache persists across decisions, so it is sized an order of
+// magnitude above the memo.
+inline constexpr std::size_t app_cache_entries = 65536;
+
 struct evaluation_options {
-    // Worker threads for batched evaluation. 1 selects the serial path; the
-    // parallel evaluator runs the calling thread as one of the workers.
-    // Valid range [1, 256].
-    std::size_t threads = 1;
-    // Memo entries kept (least-recently-used eviction). Must be ≥ 1; sized
-    // so one decision's working set (a few thousand vertices on the paper's
-    // cluster sizes) fits without eviction.
-    std::size_t memo_capacity = 4096;
-    // Request-rate grid for memo keys, in req/s. 0 keys on exact rates —
-    // memoized results are reused across decisions only when the workload
-    // vector is identical. A positive quantum trades accuracy for hit rate:
-    // rates within the same grid cell share entries, so a reused value may
-    // be stale by up to one quantum of workload movement. Must be ≥ 0.
-    req_per_sec rate_quantum = 0.0;
-    // Delta evaluation: memo misses re-solve only the applications whose
-    // resource signature changed, reusing cached per-app sub-solves for the
-    // rest (bit-identical to a full solve — see the header comment). Off
-    // forces a whole-configuration LQN solve per miss; the A/B reference for
-    // benchmarks and the bit-identity tests.
-    bool delta_eval = true;
-    // Per-app sub-solve entries kept (LRU). Must be ≥ 1. Entries are small
-    // (one app_result) and the cache persists across decisions, so it is
-    // sized an order of magnitude above the memo.
-    std::size_t app_cache_capacity = 65536;
     // Observability hook (journal.h). nullptr — the default null sink — makes
     // every recording site a single branch; when the sink carries a metrics
     // registry, the evaluator registers solve/memo counters in it and records
     // them with relaxed atomic adds on the hot path.
     obs::sink* sink = nullptr;
-
-    evaluation_options& with_threads(std::size_t n) {
-        threads = n;
-        return *this;
-    }
-    evaluation_options& with_memo_capacity(std::size_t n) {
-        memo_capacity = n;
-        return *this;
-    }
-    evaluation_options& with_rate_quantum(req_per_sec q) {
-        rate_quantum = q;
-        return *this;
-    }
-    evaluation_options& with_delta_eval(bool on) {
-        delta_eval = on;
-        return *this;
-    }
-    evaluation_options& with_app_cache_capacity(std::size_t n) {
-        app_cache_capacity = n;
-        return *this;
-    }
 };
 
 struct evaluation_stats {
@@ -147,10 +100,9 @@ struct evaluation_stats {
     std::size_t cache_misses = 0;
     std::size_t evictions = 0;
     std::size_t batches = 0;      // evaluate_batch calls
-    // Per-app sub-solve accounting. The full (delta_eval off) path counts
-    // app_count sub-solves per whole-configuration solve, so "LQN solves per
-    // decision" is comparable across modes; app cache hits/misses accrue only
-    // on the delta path.
+    // Per-app sub-solve accounting. A whole-configuration solve would pay
+    // app_count sub-solves per memo miss; app_solves is what delta
+    // evaluation actually paid.
     std::size_t app_solves = 0;
     std::size_t app_cache_hits = 0;
     std::size_t app_cache_misses = 0;
@@ -171,19 +123,19 @@ struct evaluation_stats {
 
 // LRU memo of steady-state evaluations. Entries are valid only for the rate
 // key they were computed under; `bind_rates` invalidates the store whenever
-// the quantized workload vector moves to a different grid cell, so a lookup
-// can never return a value computed for rates farther than one quantum away.
+// the workload vector changes at all, so a lookup can only ever return a
+// value computed under the identical rates.
 class eval_memo {
 public:
     explicit eval_memo(std::size_t capacity);
 
-    // The memo key for `rates` under `quantum` (exposed for tests): exact
-    // bit-pattern keys at quantum 0, nearest-grid-cell indices otherwise.
+    // The memo key for `rates` (exposed for tests): each rate's exact bit
+    // pattern. Rates must be finite and non-negative.
     [[nodiscard]] static std::vector<std::int64_t> quantize(
-        const std::vector<req_per_sec>& rates, req_per_sec quantum);
+        const std::vector<req_per_sec>& rates);
 
     // Binds the workload context; clears the store if the key changed.
-    void bind_rates(const std::vector<req_per_sec>& rates, req_per_sec quantum);
+    void bind_rates(const std::vector<req_per_sec>& rates);
 
     // nullptr on miss. The pointer is invalidated by the next insert.
     [[nodiscard]] const steady_utility* find(const cluster::configuration& c);
@@ -208,12 +160,12 @@ private:
 
 // Resource signature of one application's LQN sub-solve: every input
 // lqn::solve_app reads, packed bit-exactly into 64-bit words — the app index,
-// its quantized rate key, and per tier the replica count followed by each
-// replica's milli-cap and the bit pattern of its host's inflation factor.
-// Two deployments with equal signatures (at rate quantum 0) produce
-// bit-identical sub-solves, which is what makes cache reuse sound. Host
-// identity enters only through the inflation value: an app migrated between
-// equally-inflated hosts keys the same, deliberately.
+// its rate key, and per tier the replica count followed by each replica's
+// milli-cap and the bit pattern of its host's inflation factor. Two
+// deployments with equal signatures produce bit-identical sub-solves, which
+// is what makes cache reuse sound. Host identity enters only through the
+// inflation value: an app migrated between equally-inflated hosts keys the
+// same, deliberately.
 struct app_signature {
     std::vector<std::uint64_t> words;
 
@@ -266,17 +218,18 @@ private:
     std::size_t app, std::int64_t rate_key, const lqn::app_deployment& dep,
     const std::vector<double>& inflation);
 
-// The pluggable engine interface. Implementations are bound to one decision
-// context at a time via begin_decision(); evaluate/evaluate_batch results are
-// deterministic functions of (configuration, bound rates) — see DESIGN.md
-// for the purity and reentrancy contract.
+// The engine interface. Implementations are bound to one decision context at
+// a time via begin_decision(); evaluate/evaluate_batch results are
+// deterministic functions of (configuration, bound rates) — see DESIGN.md for
+// the purity contract. Wrappers (timing or checking decorators) forward to
+// the engine make_evaluator() builds.
 class utility_evaluator {
 public:
     virtual ~utility_evaluator() = default;
 
     // Binds the workload for the decision being made. Derives the per-app
-    // planning targets; retains memoized results only while the quantized
-    // rate key is unchanged. Idempotent for equal rates.
+    // planning targets; retains memoized results only while the rates are
+    // unchanged. Idempotent for equal rates.
     virtual void begin_decision(const std::vector<req_per_sec>& rates) = 0;
 
     // Planning targets (rt_margin · TRT(w)) for the bound rates.
@@ -300,14 +253,14 @@ public:
     [[nodiscard]] virtual std::vector<isolated_perf> evaluate_isolated_batch(
         const std::vector<app_sizing>& sizings) = 0;
 
-    // Runs fn(0) … fn(count − 1), possibly across the worker pool. fn must be
-    // pure per-index work writing only caller-owned, per-index output slots;
-    // the search drafts a whole expansion's children through this.
+    // Runs fn(0) … fn(count − 1) in index order. The search drafts a whole
+    // expansion's children through this, so a wrapper can attribute
+    // drafting time separately from evaluation.
     virtual void parallel_for(std::size_t count,
                               const std::function<void(std::size_t)>& fn) = 0;
 
-    // Concurrent workers the batch path may use (1 for the serial path);
-    // what the search meter charges power against.
+    // Always 1: evaluation runs on the calling thread. Kept for wrappers
+    // that forward the whole interface.
     [[nodiscard]] virtual std::size_t parallelism() const = 0;
 
     // Drops all memoized results and resets counters (fresh-decision tests
@@ -317,8 +270,9 @@ public:
     [[nodiscard]] virtual const evaluation_stats& stats() const = 0;
 };
 
-// Reference implementation: evaluates on the calling thread.
-class serial_evaluator : public utility_evaluator {
+// The evaluation engine: memo → per-app sub-solve cache → lqn::solve_app,
+// all on the calling thread.
+class serial_evaluator final : public utility_evaluator {
 public:
     serial_evaluator(const cluster::cluster_model& model, utility_model utility,
                      lqn::model_options lqn = {}, evaluation_options options = {});
@@ -342,32 +296,26 @@ public:
     void reset_memo() override;
     [[nodiscard]] const evaluation_stats& stats() const override { return stats_; }
 
-    [[nodiscard]] const evaluation_options& options() const { return options_; }
-
-protected:
-    // The pure computations: no memo access, no mutation — safe to call from
-    // worker threads concurrently.
-    [[nodiscard]] steady_utility compute(const cluster::configuration& config) const;
+private:
+    // The isolated-replica performance view of one sizing. Pure.
     [[nodiscard]] isolated_perf compute_isolated(const app_sizing& s) const;
-    // Folds per-app solve results and host utilizations into a steady_utility
-    // with exactly compute()'s accounting (power first, then the per-app
-    // perf terms in app order). Pure.
+    // Folds per-app solve results and host utilizations into a
+    // steady_utility: power first, then the per-app perf terms in app order.
+    // Pure.
     [[nodiscard]] steady_utility assemble(
         const cluster::configuration& config,
         const std::vector<lqn::app_result>& apps,
         const std::vector<fraction>& host_utilization) const;
-    // One memo-missed evaluation: the delta path (app-cache probes +
-    // sub-solves for the misses) when options_.delta_eval, a full compute()
-    // otherwise. Updates app-cache state and stats; calling-thread only.
+    // One memo-missed evaluation: app-cache probes plus sub-solves for the
+    // misses. Updates app-cache state and stats.
     [[nodiscard]] steady_utility solve_config(const cluster::configuration& config);
 
     const cluster::cluster_model* model_;
     utility_model utility_;
     lqn::model_options lqn_;
-    evaluation_options options_;
     std::vector<req_per_sec> rates_;
     std::vector<seconds> targets_;
-    // Per-app elements of the bound decision's quantized rate key (set by
+    // Per-app elements of the bound decision's rate key (set by
     // begin_decision; what app signatures embed).
     std::vector<std::int64_t> rate_key_;
     // Last-seen econ epoch of utility_ (0 = unbound): begin_decision clears
@@ -376,7 +324,7 @@ protected:
     eval_memo memo_;
     app_solve_cache app_cache_;  // persists across decisions
     evaluation_stats stats_;
-    // Disabled (one-branch no-op) handles unless options_.sink carries a
+    // Disabled (one-branch no-op) handles unless the options' sink carries a
     // metrics registry. Recorded alongside stats_, which stays the exact
     // per-instance source of truth; the registry aggregates across instances.
     obs::counter obs_solves_;
@@ -387,67 +335,7 @@ protected:
     obs::counter obs_app_misses_;
 };
 
-// Fixed-thread-pool implementation: evaluate_batch distributes cache misses
-// across `threads` workers (the calling thread included) and merges results
-// in input order, so memo state — and therefore every downstream decision —
-// matches the serial evaluator exactly.
-class parallel_evaluator final : public serial_evaluator {
-public:
-    parallel_evaluator(const cluster::cluster_model& model, utility_model utility,
-                       lqn::model_options lqn = {},
-                       evaluation_options options = {});
-    ~parallel_evaluator() override;
-
-    parallel_evaluator(const parallel_evaluator&) = delete;
-    parallel_evaluator& operator=(const parallel_evaluator&) = delete;
-
-    [[nodiscard]] std::vector<steady_utility> evaluate_batch(
-        const std::vector<cluster::configuration>& configs) override;
-    [[nodiscard]] std::vector<isolated_perf> evaluate_isolated_batch(
-        const std::vector<app_sizing>& sizings) override;
-    void parallel_for(std::size_t count,
-                      const std::function<void(std::size_t)>& fn) override;
-    [[nodiscard]] std::size_t parallelism() const override {
-        return workers_.size() + 1;
-    }
-
-private:
-    // Delta-evaluation staging for evaluate_batch: probes the app cache for
-    // every memo-missed configuration on the calling thread (deduplicating
-    // signatures pending within the batch exactly as the serial
-    // insert-then-probe order would), sub-solves the missing signatures
-    // across the pool, publishes them in miss order, and assembles.
-    void solve_work_delta(const std::vector<cluster::configuration>& configs,
-                          const std::vector<std::size_t>& work,
-                          std::vector<steady_utility>& out);
-
-    void worker_loop();
-    // Claims and runs items of job `generation` until its queue is drained
-    // (or a newer job has replaced it).
-    void drain(std::uint32_t generation, std::size_t count);
-    // Runs fn(0) … fn(count − 1) across the pool plus the calling thread;
-    // returns when all invocations finished, rethrowing the first exception.
-    void run_job(const std::function<void(std::size_t)>& fn, std::size_t count);
-
-    std::vector<std::thread> workers_;
-    std::mutex mutex_;
-    std::condition_variable wake_;
-    std::condition_variable done_;
-    std::function<void(std::size_t)> job_;  // written under mutex_ between jobs
-    std::size_t job_generation_ = 0;        // guarded by mutex_
-    std::size_t job_count_ = 0;             // guarded by mutex_
-    // Lock-free work queue: ⟨generation, next index⟩ packed into one word and
-    // claimed by CAS, so the hot loop never touches mutex_ (per-item locking
-    // dominated micro-batches) and a worker that wakes late — holding a stale
-    // generation — can never claim an index from the job that replaced it.
-    std::atomic<std::uint64_t> job_cursor_{0};
-    std::atomic<std::size_t> job_done_{0};
-    std::exception_ptr job_error_;          // guarded by mutex_
-    bool shutdown_ = false;
-};
-
-// Builds the evaluator `options` asks for: serial at threads == 1, the
-// thread-pool implementation otherwise.
+// Builds the evaluation engine (a serial_evaluator).
 [[nodiscard]] std::shared_ptr<utility_evaluator> make_evaluator(
     const cluster::cluster_model& model, utility_model utility,
     lqn::model_options lqn = {}, evaluation_options options = {});

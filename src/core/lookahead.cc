@@ -16,7 +16,7 @@ using cluster::action;
 using cluster::configuration;
 
 // Continuation searches reuse the primary A*'s expansion under a small
-// budget; everything else (menu, scopes, pruning, evaluation tuning) matches.
+// budget; everything else (menu, scopes, pruning, evaluation options) matches.
 search_options continuation_options(const search_options& primary,
                                     const lookahead_options& la) {
     search_options out = primary;

@@ -184,7 +184,6 @@ search_result adaptation_search::find(const configuration& current,
         prof.control_window = cw;
         prof.budget = expected_utility;
         prof.duration = r.stats.duration;
-        prof.active_seconds = meter.active_seconds();
         prof.power_cost = r.stats.search_power_cost;
         prof.expansions = static_cast<std::int64_t>(r.stats.expansions);
         prof.generated = static_cast<std::int64_t>(r.stats.generated);
@@ -203,7 +202,7 @@ search_result adaptation_search::find(const configuration& current,
     // controller's reconciliation repairs it before the optimizer runs again.
     if (!cluster::structurally_valid(model, current)) {
         stay.stats.duration = meter.elapsed();
-        stay.stats.search_power_cost = meter.active_seconds() * search_cost_rate;
+        stay.stats.search_power_cost = stay.stats.duration * search_cost_rate;
         emit_profile(stay);
         return stay;
     }
@@ -212,7 +211,7 @@ search_result adaptation_search::find(const configuration& current,
     stay.ideal_utility = ideal.feasible ? ideal.utility_rate * cw : 0.0;
     if (!ideal.feasible || ideal.ideal == current) {
         stay.stats.duration = meter.elapsed();
-        stay.stats.search_power_cost = meter.active_seconds() * search_cost_rate;
+        stay.stats.search_power_cost = stay.stats.duration * search_cost_rate;
         emit_profile(stay);
         return stay;
     }
@@ -353,7 +352,6 @@ search_result adaptation_search::find(const configuration& current,
     const double current_rate = engine.evaluate(current).rate;
     dollars ut = 0.0, upwr_t = 0.0;
     seconds last_elapsed = meter.elapsed();
-    seconds last_active = meter.active_seconds();
     bool prune_mode = false;
 
     int best_terminal = -1;
@@ -450,9 +448,7 @@ search_result adaptation_search::find(const configuration& current,
 
     auto finish = [&](int terminal_index) -> search_result {
         stats.duration = meter.elapsed();
-        // Power self-cost is charged on busy worker-seconds, not calendar
-        // time: a parallel evaluator saves wall time but not joules.
-        stats.search_power_cost = meter.active_seconds() * search_cost_rate;
+        stats.search_power_cost = stats.duration * search_cost_rate;
         const auto& es = engine.stats();
         stats.eval_cache_hits = es.cache_hits - stats0.cache_hits;
         stats.eval_cache_misses = es.cache_misses - stats0.cache_misses;
@@ -516,8 +512,7 @@ search_result adaptation_search::find(const configuration& current,
         // useless prefixes. The greedy degraded rung opts out of the
         // exemption (seed_beyond_plan_limit = false) — there the one-action
         // bound is the contract, and the route's first step is still seeded
-        // as a candidate. Each step's configuration depends on the previous,
-        // so this short chain (≤ 64 evaluations) stays serial.
+        // as a candidate.
         const int seed_limit =
             options_.seed_beyond_plan_limit
                 ? 64
@@ -569,7 +564,6 @@ search_result adaptation_search::find(const configuration& current,
         ++stats.expansions;
         obs_expansions_.add();
         const seconds now_elapsed = meter.elapsed();
-        const seconds now_active = meter.active_seconds();
         if (profiling) {
             // Everything the meter charged since the previous expansion
             // belongs to that expansion; open a span for this one.
@@ -581,10 +575,9 @@ search_result adaptation_search::find(const configuration& current,
             prof_span_start = now_elapsed;
         }
         ut += (now_elapsed - last_elapsed) * current_rate;
-        upwr_t += (now_active - last_active) * search_cost_rate;
+        upwr_t += (now_elapsed - last_elapsed) * search_cost_rate;
         uh -= (now_elapsed - last_elapsed) * uh_rate;
         last_elapsed = now_elapsed;
-        last_active = now_active;
         if (options_.self_aware && !prune_mode &&
             ((ut + upwr_t) >= uh || now_elapsed >= delay_threshold)) {
             prune_mode = true;
@@ -602,23 +595,18 @@ search_result adaptation_search::find(const configuration& current,
         // construction (cost lookup + utility estimation) is where a real
         // controller burns its time and power, so search durations scale
         // with the branching factor, i.e. with cluster size (Table I). One
-        // batched charge covers the whole expansion; the worker count tells
-        // the meter how the wall clock amortizes.
+        // batched charge covers the whole expansion.
         if (static_cast<std::size_t>(v.depth) >= options_.max_plan_actions) continue;
         std::vector<action> acts;
         for (const auto& a : enumerate_actions(model, v.config, options_.menu)) {
             if (allowed(v.config, a)) acts.push_back(a);
         }
         if (acts.empty()) continue;
-        meter.charge(acts.size(), engine.parallelism());
+        meter.charge(acts.size());
 
-        // Draft the whole expansion's children as one parallel job: per-child
-        // work (apply + candidacy + transient accounting + prune distance) is
-        // pure given the parent, and each worker writes only its own index's
-        // slots. Memo-backed steady evaluation then runs as a second batch —
-        // the LQN solves the parallel evaluator fans out — with all cache
-        // bookkeeping back on this thread, so results are bit-identical to
-        // the serial drafting loop.
+        // Draft the whole expansion's children first (apply + candidacy +
+        // transient accounting + prune distance), then value the candidate
+        // children's steady states as one memo-backed batch.
         const auto pe = engine.evaluate(v.config);
         const auto occ = occupancy(v.config);
         std::vector<vertex> children(acts.size());

@@ -82,9 +82,9 @@ struct search_options {
     bool seed_beyond_plan_limit = true;
     cluster::action_menu menu{};
     lqn::model_options lqn{};
-    // Utility-evaluation engine tuning (threads, memo capacity, rate
-    // quantum); threads > 1 selects the batched parallel evaluator. See
-    // evaluator.h for the defaults and DESIGN.md for the caching contract.
+    // Utility-evaluation engine options (its observability sink; inherits
+    // `sink` below when unset). See evaluator.h and DESIGN.md for the
+    // caching contract.
     evaluation_options evaluation{};
     // Optional per-app host restriction: app_hosts[a][h] == false forbids
     // placing app a's VMs on host h (used by the Perf-Cost baseline's fixed
@@ -116,7 +116,7 @@ struct search_stats {
     std::size_t generated = 0;       // children generated
     bool pruned = false;             // self-aware pruning engaged
     dollars search_power_cost = 0.0; // $ cost of the search's own power draw
-                                     // (scales with active worker-seconds)
+                                     // over `duration`
     std::size_t eval_cache_hits = 0;   // memoized evaluations reused
     std::size_t eval_cache_misses = 0; // evaluations that missed the memo
     // Delta-evaluation accounting for this find() (see evaluator.h): LQN
@@ -137,9 +137,8 @@ struct search_result {
 
 class adaptation_search {
 public:
-    // Builds the evaluation engine `options.evaluation` asks for (serial by
-    // default, thread pool for threads > 1) and routes every steady-state
-    // utility computation through it.
+    // Builds the evaluation engine (make_evaluator) and routes every
+    // steady-state utility computation through it.
     adaptation_search(const cluster::cluster_model& model, utility_model utility,
                       cost::cost_table costs, search_options options = {});
     // Injects a caller-owned evaluator (shared memo across components, or a

@@ -9,26 +9,11 @@ wall_clock_meter::wall_clock_meter(watts search_power) : power_(search_power) {
     start_ = std::chrono::steady_clock::now();
 }
 
-void wall_clock_meter::begin() {
-    start_ = std::chrono::steady_clock::now();
-    evaluations_ = 0.0;
-    wall_slots_ = 0.0;
-}
-
-void wall_clock_meter::charge(std::size_t evaluations, std::size_t workers) {
-    MISTRAL_CHECK(workers >= 1);
-    evaluations_ += static_cast<double>(evaluations);
-    wall_slots_ += static_cast<double>((evaluations + workers - 1) / workers);
-}
+void wall_clock_meter::begin() { start_ = std::chrono::steady_clock::now(); }
 
 seconds wall_clock_meter::elapsed() const {
     return std::chrono::duration<double>(std::chrono::steady_clock::now() - start_)
         .count();
-}
-
-seconds wall_clock_meter::active_seconds() const {
-    if (wall_slots_ <= 0.0) return elapsed();
-    return elapsed() * (evaluations_ / wall_slots_);
 }
 
 model_clock_meter::model_clock_meter(seconds per_expansion, watts search_power)

@@ -18,8 +18,8 @@
 //    accrued after the last checkpoint. Because every component between the
 //    input and the decision is deterministic, checkpoint + tail replay
 //    rebuilds the exact pre-crash state: a restarted fault-free run resumes
-//    byte-identically (chaos_test.cc proves this at arbitrary restart points
-//    and thread counts).
+//    byte-identically (chaos_test.cc proves this at arbitrary restart
+//    points).
 //
 //  * restartable_coordinator — a `strategy` wrapper owning the inner
 //    coordinator through a factory. It checkpoints every `checkpoint_every`

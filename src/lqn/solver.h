@@ -96,9 +96,9 @@ app_result solve_app(const app_deployment& app,
 // Thread-safety: solve(), compute_host_loads(), and solve_app() are pure
 // functions — they read only their arguments, touch no global or static
 // mutable state, and allocate nothing shared. Concurrent calls from
-// different threads are safe (the parallel utility evaluator relies on
-// this), and results are a deterministic function of the inputs,
-// bit-identical across threads and runs.
+// different threads are safe (sharded pods decide on their own threads), and
+// results are a deterministic function of the inputs, bit-identical across
+// threads and runs.
 solve_result solve(const std::vector<app_deployment>& apps, std::size_t host_count,
                    const model_options& options = {});
 

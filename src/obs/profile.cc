@@ -7,7 +7,6 @@ event search_profile::to_event(double now) const {
     e.num("cw", control_window)
         .num("budget", budget)
         .num("duration", duration)
-        .num("active_seconds", active_seconds)
         .num("power_cost", power_cost)
         .integer("expansions", expansions)
         .integer("generated", generated)

