@@ -78,8 +78,8 @@ public:
 
     // O(1): returns the incrementally maintained Zobrist hash. Every mutator
     // XORs the affected placement/power/failure keys in and out, so probing a
-    // memo or vertex map never pays the O(VMs + hosts) key walk the A* search
-    // used to rebuild on every generated child. `verify_hash()` (and the
+    // vertex map never pays the O(VMs + hosts) key walk the A* search used to
+    // rebuild on every generated child. `verify_hash()` (and the
     // debug assertion in cluster::apply) proves the incremental value equals
     // a from-scratch recompute.
     [[nodiscard]] std::size_t hash() const {

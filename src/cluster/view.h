@@ -5,7 +5,7 @@
 // of the pod's hosts and the applications assigned to it. A view owns a real
 // `cluster_model` for that sub-cluster and the index maps between parent and
 // local entity ids, so everything downstream — the A* search, the evaluation
-// engine with its Zobrist-keyed memo, the planner, structural repair — runs
+// engine with its sub-solve cache, the planner, structural repair — runs
 // unchanged on the local model. Local configurations are ordinary
 // `cluster::configuration` values: the incremental Zobrist hash and the O(1)
 // per-host aggregates hold per view by construction, not by re-derivation.

@@ -279,9 +279,9 @@ void mistral_controller::import_state(const controller_state& s, seconds now) {
     prev_trusted_ = s.prev_trusted;
     dstats_ = s.dstats;
     if (std::isfinite(s.power_cap)) set_power_cap(s.power_cap);
-    // The econ epoch is deliberately not checkpointed: re-indexing the tariff
-    // at the restore time reproduces the live controller's pricing exactly
-    // (epochs only version evaluation-cache keys, which are not state).
+    // The tariff factors are deliberately not checkpointed: re-indexing the
+    // tariff at the restore time reproduces the live controller's pricing
+    // exactly.
     if (utility_.econ_bound()) utility_.update_econ(now);
 }
 

@@ -216,12 +216,12 @@ struct degraded_stats {
 // The controller's complete mutable state, for exact-round-trip checkpoints
 // (core/snapshot.h). Everything a step() reads or writes is here — filter
 // and guard state, the ladder rung, the reconciliation ledger, the intended
-// configuration, the power cap. Deliberately absent: the evaluation caches
-// (memo + per-app LRU, pure memoization — every decision output is proven
-// cache-independent by the delta-eval differential tests) and the econ epoch
-// (import re-derives it from the tariff at the restore time; epochs only
-// version cache keys). A controller restored from this state emits decisions
-// bit-identical to one that never stopped.
+// configuration, the power cap. Deliberately absent: the evaluator's per-app
+// sub-solve cache (pure memoization — every decision output is proven
+// cache-independent by the delta-eval differential tests) and the current
+// tariff factors (import re-derives them from the tariff at the restore
+// time). A controller restored from this state emits decisions bit-identical
+// to one that never stopped.
 struct controller_state {
     wl::monitor_state monitor;
     wl::validator_state validator;
@@ -263,8 +263,8 @@ public:
     // Exact-round-trip checkpointing (core/snapshot.h). Options, model, and
     // cost tables are reconstruction inputs, not state: the restoring side
     // builds an identically configured controller first, then imports.
-    // `now` re-binds the econ layer (tariff index/epoch) at the restore
-    // time; it is ignored when econ is disabled.
+    // `now` re-indexes the econ layer's tariff at the restore time; it is
+    // ignored when econ is disabled.
     [[nodiscard]] controller_state export_state() const;
     void import_state(const controller_state& s, seconds now);
 
@@ -307,7 +307,7 @@ private:
     wl::workload_monitor monitor_;
     wl::telemetry_validator validator_;
     // The greedy rung: max one action under a small expansion budget, sharing
-    // the main search's evaluation engine (memo + app cache).
+    // the main search's evaluation engine (and its app cache).
     adaptation_search greedy_search_;
     std::vector<predict::stability_predictor> predictors_;
     std::vector<dollars> utility_history_;

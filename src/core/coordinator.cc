@@ -94,8 +94,6 @@ void accumulate(search_stats& into, const search_stats& from) {
     into.expansions += from.expansions;
     into.generated += from.generated;
     into.pruned = into.pruned || from.pruned;
-    into.eval_cache_hits += from.eval_cache_hits;
-    into.eval_cache_misses += from.eval_cache_misses;
     into.eval_app_solves += from.eval_app_solves;
     into.eval_app_cache_hits += from.eval_app_cache_hits;
     into.eval_app_cache_misses += from.eval_app_cache_misses;

@@ -10,76 +10,6 @@
 
 namespace mistral::core {
 
-// ---- eval_memo -------------------------------------------------------------
-
-eval_memo::eval_memo(std::size_t capacity) : capacity_(capacity) {
-    MISTRAL_CHECK(capacity >= 1);
-}
-
-std::vector<std::int64_t> eval_memo::quantize(const std::vector<req_per_sec>& rates) {
-    // A NaN rate would silently poison every key it touches (NaN never
-    // compares equal); a negative rate is a caller bug.
-    for (const req_per_sec r : rates) {
-        MISTRAL_CHECK_MSG(std::isfinite(r) && r >= 0.0,
-                          "request rates must be finite and non-negative");
-    }
-    // The rate's bit pattern, so only identical workload vectors share
-    // entries: a hit can only ever return a value computed under the
-    // *identical* workload vector — the delta path's bit-identity proof leans
-    // on this.
-    std::vector<std::int64_t> key;
-    key.reserve(rates.size());
-    for (const req_per_sec r : rates) {
-        std::int64_t bits;
-        static_assert(sizeof(bits) == sizeof(r));
-        __builtin_memcpy(&bits, &r, sizeof(bits));
-        key.push_back(bits);
-    }
-    return key;
-}
-
-void eval_memo::bind_rates(const std::vector<req_per_sec>& rates) {
-    auto key = quantize(rates);
-    if (bound_ && key == rate_key_) return;
-    rate_key_ = std::move(key);
-    bound_ = true;
-    lru_.clear();
-    index_.clear();
-}
-
-const steady_utility* eval_memo::find(const cluster::configuration& c) {
-    const auto it = index_.find(c);
-    if (it == index_.end()) {
-        ++misses_;
-        return nullptr;
-    }
-    ++hits_;
-    lru_.splice(lru_.begin(), lru_, it->second);  // move to front
-    return &it->second->second;
-}
-
-void eval_memo::insert(const cluster::configuration& c, steady_utility value) {
-    const auto it = index_.find(c);
-    if (it != index_.end()) {
-        it->second->second = std::move(value);
-        lru_.splice(lru_.begin(), lru_, it->second);
-        return;
-    }
-    lru_.emplace_front(c, std::move(value));
-    index_.emplace(c, lru_.begin());
-    while (lru_.size() > capacity_) {
-        index_.erase(lru_.back().first);
-        lru_.pop_back();
-        ++evictions_;
-    }
-}
-
-void eval_memo::clear() {
-    lru_.clear();
-    index_.clear();
-    hits_ = misses_ = evictions_ = 0;
-}
-
 // ---- app_solve_cache -------------------------------------------------------
 
 app_solve_cache::app_solve_cache(std::size_t capacity) : capacity_(capacity) {
@@ -88,11 +18,7 @@ app_solve_cache::app_solve_cache(std::size_t capacity) : capacity_(capacity) {
 
 const lqn::app_result* app_solve_cache::find(const app_signature& sig) {
     const auto it = index_.find(sig);
-    if (it == index_.end()) {
-        ++misses_;
-        return nullptr;
-    }
-    ++hits_;
+    if (it == index_.end()) return nullptr;
     lru_.splice(lru_.begin(), lru_, it->second);  // move to front
     return &it->second->second;
 }
@@ -109,14 +35,12 @@ void app_solve_cache::insert(app_signature sig, lqn::app_result value) {
     while (lru_.size() > capacity_) {
         index_.erase(lru_.back().first);
         lru_.pop_back();
-        ++evictions_;
     }
 }
 
 void app_solve_cache::clear() {
     lru_.clear();
     index_.clear();
-    hits_ = misses_ = evictions_ = 0;
 }
 
 app_signature make_app_signature(std::size_t app, std::int64_t rate_key,
@@ -147,21 +71,39 @@ app_signature make_app_signature(std::size_t app, std::int64_t rate_key,
 
 // ---- serial_evaluator ------------------------------------------------------
 
+namespace {
+
+// The per-app rate words app signatures embed: each rate's exact bit
+// pattern, so a cached sub-solve is only ever reused under the identical
+// rate — the delta path's bit-identity proof leans on this. A NaN rate would
+// silently poison every key it touches (NaN never compares equal); a
+// negative rate is a caller bug.
+std::vector<std::int64_t> rate_bits(const std::vector<req_per_sec>& rates) {
+    std::vector<std::int64_t> key;
+    key.reserve(rates.size());
+    for (const req_per_sec r : rates) {
+        MISTRAL_CHECK_MSG(std::isfinite(r) && r >= 0.0,
+                          "request rates must be finite and non-negative");
+        std::int64_t bits;
+        static_assert(sizeof(bits) == sizeof(r));
+        __builtin_memcpy(&bits, &r, sizeof(bits));
+        key.push_back(bits);
+    }
+    return key;
+}
+
+}  // namespace
+
 serial_evaluator::serial_evaluator(const cluster::cluster_model& model,
                                    utility_model utility, lqn::model_options lqn,
                                    evaluation_options options)
     : model_(&model),
       utility_(utility),
       lqn_(lqn),
-      memo_(memo_entries),
       app_cache_(app_cache_entries) {
     if (auto* reg = obs::metrics_of(options.sink)) {
         obs_solves_ = reg->register_counter(
-            "mistral_eval_solves_total", "configuration evaluations not served by the memo");
-        obs_memo_hits_ = reg->register_counter(
-            "mistral_eval_memo_hits_total", "memoized evaluations reused");
-        obs_memo_misses_ = reg->register_counter(
-            "mistral_eval_memo_misses_total", "evaluations that missed the memo");
+            "mistral_eval_solves_total", "configuration evaluations performed");
         obs_app_solves_ = reg->register_counter(
             "mistral_eval_app_solves_total", "per-app LQN sub-solves performed");
         obs_app_hits_ = reg->register_counter(
@@ -174,15 +116,11 @@ serial_evaluator::serial_evaluator(const cluster::cluster_model& model,
 
 void serial_evaluator::begin_decision(const std::vector<req_per_sec>& rates) {
     MISTRAL_CHECK(rates.size() == model_->app_count());
-    // Econ-aware runs: a tariff factor change (update_econ bumps the shared
-    // epoch) re-prices every steady evaluation, so memoized results computed
-    // under the previous factors are invalid. The app-solve cache is exempt —
-    // it stores LQN response times, which prices never touch. Without an econ
-    // binding the epoch is permanently 0 and this is one untaken branch.
-    if (utility_.econ_epoch() != econ_epoch_seen_) {
-        econ_epoch_seen_ = utility_.econ_epoch();
-        memo_.clear();
-    }
+    // The app cache is *not* cleared: rates are part of its keys, so
+    // sub-solves persist across decisions and re-hit when the workload
+    // returns to a previously seen level. Prices never enter a sub-solve, so
+    // a tariff change (utility_model::update_econ) cannot stale one either.
+    rate_key_ = rate_bits(rates);
     rates_ = rates;
     targets_.resize(model_->app_count());
     for (std::size_t a = 0; a < model_->app_count(); ++a) {
@@ -190,12 +128,6 @@ void serial_evaluator::begin_decision(const std::vector<req_per_sec>& rates) {
             model_->app(app_id{static_cast<std::int32_t>(a)})
                 .target_response_time(rates[a]));
     }
-    // The per-app elements of the rate key feed app signatures; the app
-    // cache itself is *not* cleared — rates are part of its keys, so
-    // sub-solves persist across decisions and re-hit when the workload
-    // returns to a previously seen level.
-    rate_key_ = eval_memo::quantize(rates);
-    memo_.bind_rates(rates);
 }
 
 steady_utility serial_evaluator::assemble(
@@ -220,7 +152,11 @@ steady_utility serial_evaluator::assemble(
     return out;
 }
 
-steady_utility serial_evaluator::solve_config(const cluster::configuration& config) {
+steady_utility serial_evaluator::evaluate(const cluster::configuration& config) {
+    MISTRAL_CHECK_MSG(!rates_.empty(), "begin_decision() before evaluate()");
+    ++stats_.cache_misses;
+    ++stats_.evaluations;
+    obs_solves_.add();
     const auto deps = cluster::to_lqn(*model_, config, rates_);
     const auto loads = lqn::compute_host_loads(deps, model_->host_count(), lqn_);
     std::vector<lqn::app_result> apps(deps.size());
@@ -242,25 +178,8 @@ steady_utility serial_evaluator::solve_config(const cluster::configuration& conf
     return assemble(config, apps, loads.utilization);
 }
 
-steady_utility serial_evaluator::evaluate(const cluster::configuration& config) {
-    MISTRAL_CHECK_MSG(!rates_.empty(), "begin_decision() before evaluate()");
-    if (const auto* hit = memo_.find(config)) {
-        ++stats_.cache_hits;
-        obs_memo_hits_.add();
-        return *hit;
-    }
-    ++stats_.cache_misses;
-    ++stats_.evaluations;
-    obs_memo_misses_.add();
-    obs_solves_.add();
-    steady_utility value = solve_config(config);
-    memo_.insert(config, value);
-    return value;
-}
-
 std::vector<steady_utility> serial_evaluator::evaluate_batch(
     const std::vector<cluster::configuration>& configs) {
-    ++stats_.batches;
     std::vector<steady_utility> out;
     out.reserve(configs.size());
     for (const auto& c : configs) out.push_back(evaluate(c));
@@ -311,7 +230,6 @@ std::vector<isolated_perf> serial_evaluator::evaluate_isolated_batch(
 }
 
 void serial_evaluator::reset_memo() {
-    memo_.clear();
     app_cache_.clear();
     stats_ = {};
 }

@@ -8,12 +8,10 @@
 // behind one interface, so the search and the optimizer never touch the
 // lqn::/power:: models directly.
 //
-// `serial_evaluator` is the one engine. It evaluates on the calling thread
-// through three layers, each consulted only when the one above misses:
+// `serial_evaluator` is the one engine. Each evaluation runs on the calling
+// thread along one path: translate the configuration, compute the host
+// loads, then per application
 //
-//  * eval_memo — a per-decision memo keyed by (configuration, exact request
-//    rates): revisited vertices and A* detours hit it instead of re-solving.
-//    See DESIGN.md "Utility evaluation engine" for the caching contract.
 //  * app_solve_cache — delta evaluation: the steady utility is a sum of
 //    per-app performance terms plus per-host power, and an app's LQN
 //    sub-solve depends only on its own resource signature — its replicas'
@@ -22,7 +20,11 @@
 //    so evaluating a neighbor re-solves only the perturbed apps. The cache
 //    persists across decisions (bounded LRU). See DESIGN.md "Incremental
 //    evaluation".
-//  * lqn::solve_app — the sub-solve itself.
+//  * lqn::solve_app — the sub-solve itself, on a cache miss.
+//
+// There is no whole-configuration memo: the search evaluates each vertex
+// once, and below the sub-solve cache a repeat costs only the translation,
+// the host loads and the assembly (DESIGN.md §8 has the measurements).
 //
 // Results are bit-identical to one whole-configuration lqn::solve, because
 // the signature captures, bit-exactly, every input the sub-solve reads; the
@@ -77,85 +79,39 @@ struct isolated_perf {
     bool meets_all_targets = true;
 };
 
-// Memo entries kept (least-recently-used eviction): one decision's working
-// set (a few thousand vertices on the paper's cluster sizes) fits without
-// eviction.
-inline constexpr std::size_t memo_entries = 4096;
 // Per-app sub-solve entries kept (LRU). Entries are small (one app_result)
-// and the cache persists across decisions, so it is sized an order of
-// magnitude above the memo.
+// and the cache persists across decisions, so it holds many decisions'
+// working sets (a few thousand vertices each on the paper's cluster sizes).
 inline constexpr std::size_t app_cache_entries = 65536;
 
 struct evaluation_options {
     // Observability hook (journal.h). nullptr — the default null sink — makes
     // every recording site a single branch; when the sink carries a metrics
-    // registry, the evaluator registers solve/memo counters in it and records
+    // registry, the evaluator registers its solve counters in it and records
     // them with relaxed atomic adds on the hot path.
     obs::sink* sink = nullptr;
 };
 
 struct evaluation_stats {
-    std::size_t evaluations = 0;  // configuration evaluations not served by the memo
+    std::size_t evaluations = 0;  // steady plus isolated evaluations
+    // Whole-configuration counters. Nothing caches whole configurations, so
+    // cache_hits stays 0 and cache_misses counts every steady evaluation;
+    // both stay because the benchmark harness (perfbench/) reads them.
     std::size_t cache_hits = 0;
     std::size_t cache_misses = 0;
-    std::size_t evictions = 0;
-    std::size_t batches = 0;      // evaluate_batch calls
     // Per-app sub-solve accounting. A whole-configuration solve would pay
-    // app_count sub-solves per memo miss; app_solves is what delta
+    // app_count sub-solves per steady evaluation; app_solves is what delta
     // evaluation actually paid.
     std::size_t app_solves = 0;
     std::size_t app_cache_hits = 0;
     std::size_t app_cache_misses = 0;
 
-    [[nodiscard]] double hit_rate() const {
-        const auto total = cache_hits + cache_misses;
-        return total > 0 ? static_cast<double>(cache_hits) /
-                               static_cast<double>(total)
-                         : 0.0;
-    }
     [[nodiscard]] double app_hit_rate() const {
         const auto total = app_cache_hits + app_cache_misses;
         return total > 0 ? static_cast<double>(app_cache_hits) /
                                static_cast<double>(total)
                          : 0.0;
     }
-};
-
-// LRU memo of steady-state evaluations. Entries are valid only for the rate
-// key they were computed under; `bind_rates` invalidates the store whenever
-// the workload vector changes at all, so a lookup can only ever return a
-// value computed under the identical rates.
-class eval_memo {
-public:
-    explicit eval_memo(std::size_t capacity);
-
-    // The memo key for `rates` (exposed for tests): each rate's exact bit
-    // pattern. Rates must be finite and non-negative.
-    [[nodiscard]] static std::vector<std::int64_t> quantize(
-        const std::vector<req_per_sec>& rates);
-
-    // Binds the workload context; clears the store if the key changed.
-    void bind_rates(const std::vector<req_per_sec>& rates);
-
-    // nullptr on miss. The pointer is invalidated by the next insert.
-    [[nodiscard]] const steady_utility* find(const cluster::configuration& c);
-    void insert(const cluster::configuration& c, steady_utility value);
-    void clear();
-
-    [[nodiscard]] std::size_t size() const { return lru_.size(); }
-    [[nodiscard]] std::size_t capacity() const { return capacity_; }
-    [[nodiscard]] std::size_t hits() const { return hits_; }
-    [[nodiscard]] std::size_t misses() const { return misses_; }
-    [[nodiscard]] std::size_t evictions() const { return evictions_; }
-
-private:
-    using entry = std::pair<cluster::configuration, steady_utility>;
-    std::size_t capacity_;
-    std::vector<std::int64_t> rate_key_;
-    bool bound_ = false;
-    std::list<entry> lru_;  // front = most recently used
-    std::unordered_map<cluster::configuration, std::list<entry>::iterator> index_;
-    std::size_t hits_ = 0, misses_ = 0, evictions_ = 0;
 };
 
 // Resource signature of one application's LQN sub-solve: every input
@@ -182,10 +138,10 @@ struct app_signature_hash {
     }
 };
 
-// LRU cache of per-application LQN sub-solves, keyed by app_signature.
-// Unlike eval_memo it is *not* cleared when the workload moves: the rate is
-// part of the key, so entries for other rates simply stop matching and age
-// out — which is what lets sub-solves persist across controller decisions.
+// LRU cache of per-application LQN sub-solves, keyed by app_signature. It is
+// *not* cleared when the workload moves: the rate is part of the key, so
+// entries for other rates simply stop matching and age out — which is what
+// lets sub-solves persist across controller decisions.
 class app_solve_cache {
 public:
     explicit app_solve_cache(std::size_t capacity);
@@ -195,12 +151,6 @@ public:
     void insert(app_signature sig, lqn::app_result value);
     void clear();
 
-    [[nodiscard]] std::size_t size() const { return lru_.size(); }
-    [[nodiscard]] std::size_t capacity() const { return capacity_; }
-    [[nodiscard]] std::size_t hits() const { return hits_; }
-    [[nodiscard]] std::size_t misses() const { return misses_; }
-    [[nodiscard]] std::size_t evictions() const { return evictions_; }
-
 private:
     using entry = std::pair<app_signature, lqn::app_result>;
     std::size_t capacity_;
@@ -208,11 +158,10 @@ private:
     std::unordered_map<app_signature, std::list<entry>::iterator,
                        app_signature_hash>
         index_;
-    std::size_t hits_ = 0, misses_ = 0, evictions_ = 0;
 };
 
 // The signature of app `a` within a translated deployment (exposed for
-// tests). `rate_key` is the app's element of eval_memo::quantize;
+// tests). `rate_key` is the bit pattern of the app's request rate;
 // `inflation` is lqn::compute_host_loads(...).inflation.
 [[nodiscard]] app_signature make_app_signature(
     std::size_t app, std::int64_t rate_key, const lqn::app_deployment& dep,
@@ -227,21 +176,20 @@ class utility_evaluator {
 public:
     virtual ~utility_evaluator() = default;
 
-    // Binds the workload for the decision being made. Derives the per-app
-    // planning targets; retains memoized results only while the rates are
-    // unchanged. Idempotent for equal rates.
+    // Binds the workload for the decision being made and derives the per-app
+    // planning targets. Rates must be finite and non-negative (invariant_error
+    // otherwise). Idempotent for equal rates.
     virtual void begin_decision(const std::vector<req_per_sec>& rates) = 0;
 
     // Planning targets (rt_margin · TRT(w)) for the bound rates.
     [[nodiscard]] virtual const std::vector<seconds>& targets() const = 0;
 
-    // Steady-state utility of one configuration (memoized).
+    // Steady-state utility of one configuration.
     [[nodiscard]] virtual steady_utility evaluate(
         const cluster::configuration& config) = 0;
 
     // Evaluates a whole expansion's children; results in input order,
-    // bit-identical to calling evaluate() sequentially. Duplicate
-    // configurations within the batch are solved once.
+    // bit-identical to calling evaluate() sequentially.
     [[nodiscard]] virtual std::vector<steady_utility> evaluate_batch(
         const std::vector<cluster::configuration>& configs) = 0;
 
@@ -263,15 +211,15 @@ public:
     // that forward the whole interface.
     [[nodiscard]] virtual std::size_t parallelism() const = 0;
 
-    // Drops all memoized results and resets counters (fresh-decision tests
-    // and cold-cache benchmarking).
+    // Drops the sub-solve cache and resets the counters (fresh-decision
+    // tests and cold-cache benchmarking).
     virtual void reset_memo() = 0;
 
     [[nodiscard]] virtual const evaluation_stats& stats() const = 0;
 };
 
-// The evaluation engine: memo → per-app sub-solve cache → lqn::solve_app,
-// all on the calling thread.
+// The evaluation engine: per-app sub-solve cache → lqn::solve_app, all on
+// the calling thread.
 class serial_evaluator final : public utility_evaluator {
 public:
     serial_evaluator(const cluster::cluster_model& model, utility_model utility,
@@ -306,30 +254,21 @@ private:
         const cluster::configuration& config,
         const std::vector<lqn::app_result>& apps,
         const std::vector<fraction>& host_utilization) const;
-    // One memo-missed evaluation: app-cache probes plus sub-solves for the
-    // misses. Updates app-cache state and stats.
-    [[nodiscard]] steady_utility solve_config(const cluster::configuration& config);
 
     const cluster::cluster_model* model_;
     utility_model utility_;
     lqn::model_options lqn_;
     std::vector<req_per_sec> rates_;
     std::vector<seconds> targets_;
-    // Per-app elements of the bound decision's rate key (set by
-    // begin_decision; what app signatures embed).
+    // Bit patterns of the bound rates, one per app (set by begin_decision;
+    // what app signatures embed).
     std::vector<std::int64_t> rate_key_;
-    // Last-seen econ epoch of utility_ (0 = unbound): begin_decision clears
-    // the memo when the shared tariff factors changed underneath it.
-    std::uint64_t econ_epoch_seen_ = 0;
-    eval_memo memo_;
     app_solve_cache app_cache_;  // persists across decisions
     evaluation_stats stats_;
     // Disabled (one-branch no-op) handles unless the options' sink carries a
     // metrics registry. Recorded alongside stats_, which stays the exact
     // per-instance source of truth; the registry aggregates across instances.
     obs::counter obs_solves_;
-    obs::counter obs_memo_hits_;
-    obs::counter obs_memo_misses_;
     obs::counter obs_app_solves_;
     obs::counter obs_app_hits_;
     obs::counter obs_app_misses_;

@@ -7,6 +7,7 @@
 
 #include "cluster/action.h"
 #include "common/check.h"
+#include "core/transient_rate.h"
 
 namespace mistral::core {
 
@@ -25,49 +26,12 @@ search_options continuation_options(const search_options& primary,
     return out;
 }
 
-// Mirrors of search.cc's transient-locality helpers (file-local there): the
-// VM an action touches, and the hosts whose applications feel its transient.
-vm_id touched_vm(const action& a) {
-    return std::visit(
-        [](const auto& x) -> vm_id {
-            using T = std::decay_t<decltype(x)>;
-            if constexpr (std::is_same_v<T, cluster::power_on> ||
-                          std::is_same_v<T, cluster::power_off>) {
-                return vm_id{};
-            } else {
-                return x.vm;
-            }
-        },
-        a);
-}
-
-std::vector<host_id> affected_hosts(const configuration& config, const action& a) {
-    std::vector<host_id> out;
-    std::visit(
-        [&](const auto& x) {
-            using T = std::decay_t<decltype(x)>;
-            if constexpr (std::is_same_v<T, cluster::migrate>) {
-                out = {config.placement(x.vm)->host, x.to};
-            } else if constexpr (std::is_same_v<T, cluster::add_replica>) {
-                out = {x.to};
-            } else if constexpr (std::is_same_v<T, cluster::remove_replica> ||
-                                 std::is_same_v<T, cluster::increase_cpu> ||
-                                 std::is_same_v<T, cluster::decrease_cpu>) {
-                out = {config.placement(x.vm)->host};
-            }
-        },
-        a);
-    return out;
-}
-
 void merge_stats(search_stats& into, const search_stats& s) {
     into.duration += s.duration;
     into.expansions += s.expansions;
     into.generated += s.generated;
     into.pruned = into.pruned || s.pruned;
     into.search_power_cost += s.search_power_cost;
-    into.eval_cache_hits += s.eval_cache_hits;
-    into.eval_cache_misses += s.eval_cache_misses;
     into.eval_app_solves += s.eval_app_solves;
     into.eval_app_cache_hits += s.eval_app_cache_hits;
     into.eval_app_cache_misses += s.eval_app_cache_misses;
@@ -104,7 +68,6 @@ dollars lookahead_planner::score_plan(const configuration& current,
     auto& engine = primary_->evaluator();
     engine.begin_decision(rates);
     const auto& targets = engine.targets();
-    const std::size_t host_count = model_->host_count();
 
     // Same accounting as the A*'s draft_child/average_rate pair, applied to
     // a fixed action sequence instead of a searched one.
@@ -113,32 +76,9 @@ dollars lookahead_planner::score_plan(const configuration& current,
     seconds duration = 0.0;
     for (const action& a : plan) {
         const auto entry = costs_->lookup(*model_, a, rates);
-        const auto pe = engine.evaluate(c);
-        const vm_id vm = touched_vm(a);
-        const auto touched = affected_hosts(c, a);
-        std::vector<std::uint8_t> occ(model_->app_count() * host_count, 0);
-        for (const auto& desc : model_->vms()) {
-            const auto& p = c.placement(desc.vm);
-            if (p) occ[desc.app.index() * host_count + p->host.index()] = 1;
-        }
-        double rate =
-            utility_.power_rate(std::max(0.0, pe.power + entry.delta_power));
-        for (std::size_t s = 0; s < model_->app_count(); ++s) {
-            seconds rt = pe.response_times[s];
-            if (vm.valid() && model_->vm(vm).app.index() == s) {
-                rt += entry.delta_rt_target;
-            } else if (!touched.empty()) {
-                bool colocated = false;
-                for (const host_id h : touched) {
-                    if (occ[s * host_count + h.index()] != 0) {
-                        colocated = true;
-                        break;
-                    }
-                }
-                if (colocated) rt += entry.delta_rt_colocated;
-            }
-            rate += utility_.perf_rate(rates[s], rt, targets[s]);
-        }
+        const double rate = detail::transient_rate(
+            *model_, utility_, rates, targets, c, detail::occupancy(*model_, c),
+            engine.evaluate(c), a, entry);
         accrued += entry.duration * std::min(rate, cap_rate) -
                    primary_->options().per_action_overhead;
         duration += entry.duration;
@@ -313,7 +253,7 @@ lookahead_result lookahead_planner::plan(
     // plan is the reactive one either way, and the planner's modeled search
     // time is real decision latency the controller pays. The journal's
     // per-interval values are then the steady dollars of holding the
-    // reactive target through the forecast (memoized evaluations, no meter
+    // reactive target through the forecast (steady evaluations, no meter
     // charge), discounted identically.
     std::vector<dollars> tail_reactive;
     if (contested) {

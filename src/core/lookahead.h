@@ -23,7 +23,7 @@
 //    H = max(CW, D + M)), so pre-provisioning pays its true present cost.
 //  * Each candidate's tail is rolled out with bounded-depth continuation
 //    searches (the same A* expansion under a small expansion budget, sharing
-//    the evaluation engine's memo and app cache), one per future interval,
+//    the evaluation engine's sub-solve cache), one per future interval,
 //    and each future interval's utility is discounted by a geometric factor
 //    times the forecast confidence derived from the band spread.
 //

@@ -57,8 +57,8 @@ public:
     perf_pwr_optimizer(const cluster::cluster_model& model, utility_model utility,
                        perf_pwr_options options = {});
     // Shares a caller-owned evaluator — the adaptation search passes its own
-    // so the ideal-configuration scoring and the A* children draw from one
-    // memo within a decision.
+    // so the ideal-configuration scoring and the A* children run on one
+    // engine within a decision.
     perf_pwr_optimizer(const cluster::cluster_model& model, utility_model utility,
                        perf_pwr_options options,
                        std::shared_ptr<utility_evaluator> evaluator);
@@ -86,7 +86,7 @@ private:
     perf_pwr_options options_;
     // All steady-rate utility computation (LQN + power + Eq. 1/2) flows
     // through the evaluation engine; the optimizer never calls the models
-    // directly. optimize() stays logically const — the engine only memoizes.
+    // directly. optimize() stays logically const — the engine only caches.
     std::shared_ptr<utility_evaluator> evaluator_;
 
     [[nodiscard]] perf_pwr_result run(const std::vector<req_per_sec>& rates,

@@ -11,6 +11,7 @@
 #include "cluster/translate.h"
 #include "common/check.h"
 #include "core/planner.h"
+#include "core/transient_rate.h"
 #include "obs/journal.h"
 #include "obs/profile.h"
 
@@ -40,43 +41,6 @@ struct vertex {
     double utility = 0.0;        // Algorithm 1's vertex utility (avg rate)
     bool terminal = false;       // reached via the "null" edge
 };
-
-// VM the action touches; invalid id for host power actions.
-vm_id touched_vm(const action& a) {
-    return std::visit(
-        [](const auto& x) -> vm_id {
-            using T = std::decay_t<decltype(x)>;
-            if constexpr (std::is_same_v<T, cluster::power_on> ||
-                          std::is_same_v<T, cluster::power_off>) {
-                return vm_id{};
-            } else {
-                return x.vm;
-            }
-        },
-        a);
-}
-
-// Hosts whose applications feel the action's transient.
-std::vector<host_id> affected_hosts(const configuration& config, const action& a) {
-    std::vector<host_id> out;
-    std::visit(
-        [&](const auto& x) {
-            using T = std::decay_t<decltype(x)>;
-            if constexpr (std::is_same_v<T, cluster::migrate>) {
-                out = {config.placement(x.vm)->host, x.to};
-            } else if constexpr (std::is_same_v<T, cluster::add_replica>) {
-                out = {x.to};
-            } else if constexpr (std::is_same_v<T, cluster::remove_replica> ||
-                                 std::is_same_v<T, cluster::increase_cpu> ||
-                                 std::is_same_v<T, cluster::decrease_cpu>) {
-                out = {config.placement(x.vm)->host};
-            }
-            // Power cycling affects no running application (Section V-B).
-        },
-        a);
-    return out;
-}
-
 }  // namespace
 
 adaptation_search::adaptation_search(const cluster::cluster_model& model,
@@ -158,7 +122,7 @@ search_result adaptation_search::find(const configuration& current,
     stay.target = current;
 
     // Per-decision profile: per-depth expansion/meter-time attribution plus
-    // the budget and memo state at finish. Entirely skipped (one branch per
+    // the budget state at finish. Entirely skipped (one branch per
     // expansion) when no journaling sink is attached.
     const bool profiling = obs::journaling(options_.sink);
     obs::search_profile prof;
@@ -188,8 +152,6 @@ search_result adaptation_search::find(const configuration& current,
         prof.expansions = static_cast<std::int64_t>(r.stats.expansions);
         prof.generated = static_cast<std::int64_t>(r.stats.generated);
         prof.pruned = r.stats.pruned;
-        prof.eval_hits = static_cast<std::int64_t>(r.stats.eval_cache_hits);
-        prof.eval_misses = static_cast<std::int64_t>(r.stats.eval_cache_misses);
         prof.meter = meter.kind();
         prof.plan_actions = static_cast<std::int64_t>(r.actions.size());
         prof.expected_utility = r.expected_utility;
@@ -216,49 +178,6 @@ search_result adaptation_search::find(const configuration& current,
         return stay;
     }
     const double ideal_rate = ideal.utility_rate;
-
-    // app × host occupancy bitmap of a configuration: occ[s·H + h] is nonzero
-    // iff application s has a deployed VM on host h. Computed once per
-    // expansion so the transient colocation test below is O(|touched|)
-    // instead of a VM-inventory scan per (child, app).
-    const std::size_t host_count = model.host_count();
-    auto occupancy = [&](const configuration& c) {
-        std::vector<std::uint8_t> occ(model.app_count() * host_count, 0);
-        for (const auto& desc : model.vms()) {
-            const auto& p = c.placement(desc.vm);
-            if (p) occ[desc.app.index() * host_count + p->host.index()] = 1;
-        }
-        return occ;
-    };
-
-    // Transient accrual rate while `a` executes in configuration `c`, with
-    // `occ` = occupancy(c).
-    auto transient_rate = [&](const configuration& c,
-                              const std::vector<std::uint8_t>& occ,
-                              const steady_utility& ce, const action& a,
-                              const cost::cost_entry& entry) -> double {
-        const vm_id vm = touched_vm(a);
-        const auto touched = affected_hosts(c, a);
-        double rate = utility_.power_rate(std::max(0.0, ce.power + entry.delta_power));
-        for (std::size_t s = 0; s < model.app_count(); ++s) {
-            seconds rt = ce.response_times[s];
-            if (vm.valid() && model.vm(vm).app.index() == s) {
-                rt += entry.delta_rt_target;
-            } else if (!touched.empty()) {
-                // Co-located applications: any VM on an affected host.
-                bool colocated = false;
-                for (const host_id h : touched) {
-                    if (occ[s * host_count + h.index()] != 0) {
-                        colocated = true;
-                        break;
-                    }
-                }
-                if (colocated) rt += entry.delta_rt_colocated;
-            }
-            rate += utility_.perf_rate(rates[s], rt, targets[s]);
-        }
-        return rate;
-    };
 
     // Pruning distance to the ideal configuration, with cap_distance's
     // ideal-derived VM weights hoisted: they depend only on `ideal`, so
@@ -349,7 +268,10 @@ search_result adaptation_search::find(const configuration& current,
     dollars uh = expected_utility;
     const double uh_rate = cw > 0.0 ? expected_utility / cw : 0.0;
     const seconds delay_threshold = options_.delay_threshold_fraction * cw;
-    const double current_rate = engine.evaluate(current).rate;
+    // The root's steady evaluation: its rate prices the search's own time,
+    // and it is the seeded route's first parent evaluation.
+    steady_utility parent_eval = engine.evaluate(current);
+    const double current_rate = parent_eval.rate;
     dollars ut = 0.0, upwr_t = 0.0;
     seconds last_elapsed = meter.elapsed();
     bool prune_mode = false;
@@ -382,7 +304,7 @@ search_result adaptation_search::find(const configuration& current,
     // Drafts the child vertex reached by firing `a` from vertex `v` (index
     // `parent_idx`): everything except the steady-state valuation, which
     // value_child fills in once the batch evaluation has run. `pe` is the
-    // parent's (memoized) steady evaluation.
+    // parent's steady evaluation and `occ` its occupancy.
     auto draft_child = [&](const vertex& v, std::size_t parent_idx,
                            const steady_utility& pe,
                            const std::vector<std::uint8_t>& occ,
@@ -396,8 +318,10 @@ search_result adaptation_search::find(const configuration& current,
         // mid-adaptation can never appear *better* than the best legal
         // steady state (which would invite lingering in intermediate
         // configurations and break the heuristic's bound).
-        const double during =
-            std::min(transient_rate(v.config, occ, pe, a, entry), ideal_rate);
+        const double during = std::min(
+            detail::transient_rate(model, utility_, rates, targets, v.config,
+                                   occ, pe, a, entry),
+            ideal_rate);
         c.accrued = v.accrued + entry.duration * during -
                     options_.per_action_overhead;
         c.duration = v.duration + entry.duration;
@@ -424,10 +348,10 @@ search_result adaptation_search::find(const configuration& current,
         return static_cast<int>(vertices.size()) - 1;
     };
 
-    // Adds the "null"-edge terminal for a candidate vertex.
-    auto add_terminal = [&](std::size_t idx) {
+    // Adds the "null"-edge terminal for a candidate vertex; `pe` is the
+    // vertex's steady evaluation, which the caller already holds.
+    auto add_terminal = [&](std::size_t idx, const steady_utility& pe) {
         const vertex& v = vertices[idx];
-        const auto pe = engine.evaluate(v.config);
         // The power budget gates terminal candidacy only: like the packing
         // constraint, intermediates may exceed it while a plan is in flight,
         // but the plan must land inside the cap.
@@ -450,8 +374,6 @@ search_result adaptation_search::find(const configuration& current,
         stats.duration = meter.elapsed();
         stats.search_power_cost = stats.duration * search_cost_rate;
         const auto& es = engine.stats();
-        stats.eval_cache_hits = es.cache_hits - stats0.cache_hits;
-        stats.eval_cache_misses = es.cache_misses - stats0.cache_misses;
         stats.eval_app_solves = es.app_solves - stats0.app_solves;
         stats.eval_app_cache_hits = es.app_cache_hits - stats0.app_cache_hits;
         stats.eval_app_cache_misses = es.app_cache_misses - stats0.app_cache_misses;
@@ -528,15 +450,20 @@ search_result adaptation_search::find(const configuration& current,
             }
             const seconds seed_start = profiling ? meter.elapsed() : 0.0;
             meter.on_expansion();
-            vertex c = draft_child(v, at, engine.evaluate(v.config),
-                                   occupancy(v.config), a);
-            value_child(c, is_candidate(model, c.config)
-                               ? engine.evaluate(c.config).rate
-                               : ideal_rate);
+            vertex c = draft_child(v, at, parent_eval,
+                                   detail::occupancy(model, v.config), a);
+            // One evaluation per seeded child: its value (candidates only),
+            // its terminal and the next step's parent all share it.
+            const bool candidate = is_candidate(model, c.config);
+            steady_utility ce;
+            if (candidate) ce = engine.evaluate(c.config);
+            value_child(c, candidate ? ce.rate : ideal_rate);
             const int idx = record_vertex(std::move(c));
             if (idx < 0) break;
-            add_terminal(static_cast<std::size_t>(idx));
             at = static_cast<std::size_t>(idx);
+            if (!candidate) ce = engine.evaluate(vertices[at].config);
+            add_terminal(at, ce);
+            parent_eval = std::move(ce);
             ++stats.generated;
             obs_generated_.add();
             // Seeded steps are charged like expansions; attribute their meter
@@ -588,8 +515,11 @@ search_result adaptation_search::find(const configuration& current,
             return finish(best_terminal);
         }
 
-        // Terminal ("null") child from candidate configurations.
-        add_terminal(idx);
+        // Terminal ("null") child from candidate configurations. This one
+        // evaluation of the popped vertex also prices its children's
+        // transients below.
+        const auto pe = engine.evaluate(v.config);
+        add_terminal(idx, pe);
 
         // Action children. The meter charges per child *evaluated* — child
         // construction (cost lookup + utility estimation) is where a real
@@ -606,9 +536,8 @@ search_result adaptation_search::find(const configuration& current,
 
         // Draft the whole expansion's children first (apply + candidacy +
         // transient accounting + prune distance), then value the candidate
-        // children's steady states as one memo-backed batch.
-        const auto pe = engine.evaluate(v.config);
-        const auto occ = occupancy(v.config);
+        // children's steady states as one batch.
+        const auto occ = detail::occupancy(model, v.config);
         std::vector<vertex> children(acts.size());
         std::vector<std::uint8_t> child_candidate(acts.size(), 0);
         std::vector<double> child_distance(acts.size(), 0.0);

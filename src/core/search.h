@@ -84,7 +84,7 @@ struct search_options {
     lqn::model_options lqn{};
     // Utility-evaluation engine options (its observability sink; inherits
     // `sink` below when unset). See evaluator.h and DESIGN.md for the
-    // caching contract.
+    // sub-solve cache's contract.
     evaluation_options evaluation{};
     // Optional per-app host restriction: app_hosts[a][h] == false forbids
     // placing app a's VMs on host h (used by the Perf-Cost baseline's fixed
@@ -103,7 +103,7 @@ struct search_options {
     watts power_cap = std::numeric_limits<watts>::infinity();
     // Observability hook (obs/journal.h): when journaling, every find() emits
     // one "search" profile event (obs/profile.h) — per-depth expansion counts
-    // and meter time, memo hit rate, budget/pruning state — and the search
+    // and meter time, budget/pruning state — and the search
     // registers hot-path counters in the sink's metrics registry. nullptr
     // (the default null sink) keeps the search byte-identical to an
     // uninstrumented build.
@@ -117,8 +117,6 @@ struct search_stats {
     bool pruned = false;             // self-aware pruning engaged
     dollars search_power_cost = 0.0; // $ cost of the search's own power draw
                                      // over `duration`
-    std::size_t eval_cache_hits = 0;   // memoized evaluations reused
-    std::size_t eval_cache_misses = 0; // evaluations that missed the memo
     // Delta-evaluation accounting for this find() (see evaluator.h): LQN
     // sub-solves actually performed vs. reused from the per-app cache.
     std::size_t eval_app_solves = 0;
@@ -141,8 +139,9 @@ public:
     // steady-state utility computation through it.
     adaptation_search(const cluster::cluster_model& model, utility_model utility,
                       cost::cost_table costs, search_options options = {});
-    // Injects a caller-owned evaluator (shared memo across components, or a
-    // test double); `options.evaluation` is ignored in this form.
+    // Injects a caller-owned evaluator (a sub-solve cache shared across
+    // components, or a test double); `options.evaluation` is ignored in this
+    // form.
     adaptation_search(const cluster::cluster_model& model, utility_model utility,
                       cost::cost_table costs, search_options options,
                       std::shared_ptr<utility_evaluator> evaluator);
@@ -150,11 +149,11 @@ public:
     [[nodiscard]] const search_options& options() const { return options_; }
     // Runtime budget update (the global coordinator redistributes pod power
     // budgets each interval); does not rebuild the evaluation engine, so the
-    // memo and app cache survive. Must be > 0 (infinity = uncapped).
+    // app cache survives. Must be > 0 (infinity = uncapped).
     void set_power_cap(watts cap);
     [[nodiscard]] utility_evaluator& evaluator() const { return *evaluator_; }
     // The engine itself, for building sibling searches (e.g. the degraded
-    // ladder's greedy rung) that share this search's memo and app cache.
+    // ladder's greedy rung) that share this search's app cache.
     [[nodiscard]] const std::shared_ptr<utility_evaluator>& shared_evaluator() const {
         return evaluator_;
     }

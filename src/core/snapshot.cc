@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <type_traits>
 #include <utility>
 #include <variant>
 
@@ -73,14 +74,22 @@ double dec_num(const value& v) {
     return v.as_number();
 }
 
-std::int64_t dec_int(const value& v) {
-    return static_cast<std::int64_t>(std::llround(v.as_number()));
-}
-
-std::size_t dec_index(const value& v) {
-    const std::int64_t i = dec_int(v);
-    MISTRAL_CHECK_MSG(i >= 0, "snapshot: negative index " << i);
-    return static_cast<std::size_t>(i);
+// Every integer field decodes through here. The number must be finite,
+// integral and inside T's range; anything else is refused rather than
+// rounded or wrapped into a different, valid-looking id.
+template <class T>
+T dec_int(const value& v) {
+    static_assert(std::is_integral_v<T>);
+    const double d = v.as_number();
+    MISTRAL_CHECK_MSG(std::isfinite(d) && d == std::trunc(d),
+                      "snapshot: " << d << " is not an integer");
+    // max + 1 is a power of two, which a double holds exactly (a 64-bit max
+    // already rounds up to it), so `<` admits exactly T's range.
+    MISTRAL_CHECK_MSG(
+        d >= static_cast<double>(std::numeric_limits<T>::min()) &&
+            d < static_cast<double>(std::numeric_limits<T>::max()) + 1.0,
+        "snapshot: integer " << d << " out of range");
+    return static_cast<T>(d);
 }
 
 template <class F>
@@ -100,7 +109,7 @@ std::vector<bool> dec_bools(const value& v) {
 }
 
 std::vector<std::size_t> dec_indices(const value& v) {
-    return dec_list(v, [](const value& x) { return dec_index(x); });
+    return dec_list(v, dec_int<std::size_t>);
 }
 
 // ---- action --------------------------------------------------------------
@@ -133,13 +142,13 @@ std::string enc_action(const cluster::action& a) {
 cluster::action dec_action(const value& v) {
     const std::string& kind = get(v, "kind").as_text();
     const auto vm = [&] {
-        return vm_id{static_cast<std::int32_t>(dec_int(get(v, "vm")))};
+        return vm_id{dec_int<std::int32_t>(get(v, "vm"))};
     };
     const auto to = [&] {
-        return host_id{static_cast<std::int32_t>(dec_int(get(v, "to")))};
+        return host_id{dec_int<std::int32_t>(get(v, "to"))};
     };
     const auto host = [&] {
-        return host_id{static_cast<std::int32_t>(dec_int(get(v, "host")))};
+        return host_id{dec_int<std::int32_t>(get(v, "host"))};
     };
     if (kind == "increase_cpu") return cluster::increase_cpu{vm()};
     if (kind == "decrease_cpu") return cluster::decrease_cpu{vm()};
@@ -195,21 +204,22 @@ std::string enc_config(const cluster::configuration& c) {
 }
 
 cluster::configuration dec_config(const value& v) {
-    cluster::configuration c(dec_index(get(v, "vms")), dec_index(get(v, "hosts")));
+    cluster::configuration c(dec_int<std::size_t>(get(v, "vms")),
+                             dec_int<std::size_t>(get(v, "hosts")));
     for (const value& h : get(v, "on").items()) {
-        c.set_host_power(host_id{static_cast<std::int32_t>(dec_int(h))}, true);
+        c.set_host_power(host_id{dec_int<std::int32_t>(h)}, true);
     }
     for (const value& p : get(v, "placed").items()) {
         const auto& t = p.items();
         MISTRAL_CHECK_MSG(t.size() == 3, "snapshot: malformed placement");
-        c.deploy(vm_id{static_cast<std::int32_t>(dec_int(t[0]))},
-                 host_id{static_cast<std::int32_t>(dec_int(t[1]))},
+        c.deploy(vm_id{dec_int<std::int32_t>(t[0])},
+                 host_id{dec_int<std::int32_t>(t[1])},
                  dec_num(t[2]));
     }
     // Last: marking failed forces the host off, so it must not race the
     // power/placement rebuild above (failed hosts are off and host nothing).
     for (const value& h : get(v, "down").items()) {
-        c.set_host_failed(host_id{static_cast<std::int32_t>(dec_int(h))}, true);
+        c.set_host_failed(host_id{dec_int<std::int32_t>(h)}, true);
     }
     return c;
 }
@@ -243,9 +253,9 @@ predict::predictor_state dec_predictor(const value& v) {
     s.all_estimates = dec_nums(get(v, "all_estimates"));
     s.cusum = dec_num(get(v, "cusum"));
     s.trusted = get(v, "trusted").as_bool();
-    s.divergence_count = static_cast<int>(dec_int(get(v, "divergence_count")));
-    s.fit_attempts = static_cast<int>(dec_int(get(v, "fit_attempts")));
-    s.next_fit_at = dec_index(get(v, "next_fit_at"));
+    s.divergence_count = dec_int<int>(get(v, "divergence_count"));
+    s.fit_attempts = dec_int<int>(get(v, "fit_attempts"));
+    s.next_fit_at = dec_int<std::size_t>(get(v, "next_fit_at"));
     s.fit_valid = get(v, "fit_valid").as_bool();
     s.fit_coeffs = dec_nums(get(v, "fit_coeffs"));
     return s;
@@ -266,7 +276,7 @@ wl::validator_state dec_validator(const value& v) {
     s.has_last_good = dec_bools(get(v, "has_last_good"));
     s.last_seen = dec_nums(get(v, "last_seen"));
     s.repeat_count = dec_list(get(v, "repeat_count"), [](const value& x) {
-        return static_cast<int>(dec_int(x));
+        return dec_int<int>(x);
     });
     return s;
 }
@@ -310,11 +320,11 @@ std::string enc_lstats(const lookahead_stats& s) {
 
 lookahead_stats dec_lstats(const value& v) {
     lookahead_stats s;
-    s.lookahead_decisions = dec_int(get(v, "lookahead_decisions"));
-    s.preprovision_commits = dec_int(get(v, "preprovision_commits"));
-    s.reactive_commits = dec_int(get(v, "reactive_commits"));
-    s.forecast_divergences = dec_int(get(v, "forecast_divergences"));
-    s.deadline_demotions = dec_int(get(v, "deadline_demotions"));
+    s.lookahead_decisions = dec_int<std::int64_t>(get(v, "lookahead_decisions"));
+    s.preprovision_commits = dec_int<std::int64_t>(get(v, "preprovision_commits"));
+    s.reactive_commits = dec_int<std::int64_t>(get(v, "reactive_commits"));
+    s.forecast_divergences = dec_int<std::int64_t>(get(v, "forecast_divergences"));
+    s.deadline_demotions = dec_int<std::int64_t>(get(v, "deadline_demotions"));
     return s;
 }
 
@@ -331,10 +341,10 @@ std::string enc_rstats(const reconcile_stats& s) {
 
 reconcile_stats dec_rstats(const value& v) {
     reconcile_stats s;
-    s.failed_actions = dec_int(get(v, "failed_actions"));
-    s.fault_replans = dec_int(get(v, "fault_replans"));
-    s.repairs = dec_int(get(v, "repairs"));
-    s.drift_intervals = dec_int(get(v, "drift_intervals"));
+    s.failed_actions = dec_int<std::int64_t>(get(v, "failed_actions"));
+    s.fault_replans = dec_int<std::int64_t>(get(v, "fault_replans"));
+    s.repairs = dec_int<std::int64_t>(get(v, "repairs"));
+    s.drift_intervals = dec_int<std::int64_t>(get(v, "drift_intervals"));
     s.wasted_adaptation_time = dec_num(get(v, "wasted_adaptation_time"));
     s.wasted_transient_cost = dec_num(get(v, "wasted_transient_cost"));
     return s;
@@ -354,13 +364,13 @@ std::string enc_dstats(const degraded_stats& s) {
 
 degraded_stats dec_dstats(const value& v) {
     degraded_stats s;
-    s.degraded_windows = dec_int(get(v, "degraded_windows"));
-    s.garbage_windows = dec_int(get(v, "garbage_windows"));
-    s.demotions = dec_int(get(v, "demotions"));
-    s.promotions = dec_int(get(v, "promotions"));
-    s.held_triggers = dec_int(get(v, "held_triggers"));
-    s.greedy_decisions = dec_int(get(v, "greedy_decisions"));
-    s.deadline_trips = dec_int(get(v, "deadline_trips"));
+    s.degraded_windows = dec_int<std::int64_t>(get(v, "degraded_windows"));
+    s.garbage_windows = dec_int<std::int64_t>(get(v, "garbage_windows"));
+    s.demotions = dec_int<std::int64_t>(get(v, "demotions"));
+    s.promotions = dec_int<std::int64_t>(get(v, "promotions"));
+    s.held_triggers = dec_int<std::int64_t>(get(v, "held_triggers"));
+    s.greedy_decisions = dec_int<std::int64_t>(get(v, "greedy_decisions"));
+    s.deadline_trips = dec_int<std::int64_t>(get(v, "deadline_trips"));
     return s;
 }
 
@@ -404,13 +414,13 @@ controller_state dec_controller(const value& v) {
     s.rstats = dec_rstats(get(v, "rstats"));
     const value& intended = get(v, "intended");
     if (intended.type() != value::kind::null) s.intended = dec_config(intended);
-    s.fault_rounds = static_cast<int>(dec_int(get(v, "fault_rounds")));
+    s.fault_rounds = dec_int<int>(get(v, "fault_rounds"));
     s.backoff_until = dec_num(get(v, "backoff_until"));
-    const std::int64_t mode = dec_int(get(v, "mode"));
+    const std::int64_t mode = dec_int<std::int64_t>(get(v, "mode"));
     MISTRAL_CHECK_MSG(mode >= 0 && mode <= 3,
                       "snapshot: unknown control mode " << mode);
     s.mode = static_cast<control_mode>(mode);
-    s.clean_steps = static_cast<int>(dec_int(get(v, "clean_steps")));
+    s.clean_steps = dec_int<int>(get(v, "clean_steps"));
     s.deadline_tripped = get(v, "deadline_tripped").as_bool();
     s.prev_trusted = dec_bools(get(v, "prev_trusted"));
     s.dstats = dec_dstats(get(v, "dstats"));
@@ -446,7 +456,7 @@ std::string enc_health(const pod_health& h) {
 pod_health dec_health(const value& v) {
     pod_health h;
     h.quarantined = get(v, "quarantined").as_bool();
-    h.clean_intervals = static_cast<int>(dec_int(get(v, "clean_intervals")));
+    h.clean_intervals = dec_int<int>(get(v, "clean_intervals"));
     return h;
 }
 
@@ -463,12 +473,12 @@ std::string enc_pending(const pending_migration& p) {
 
 pending_migration dec_pending(const value& v) {
     pending_migration p;
-    p.app = dec_index(get(v, "app"));
-    p.from = dec_index(get(v, "from"));
-    p.to = dec_index(get(v, "to"));
+    p.app = dec_int<std::size_t>(get(v, "app"));
+    p.from = dec_int<std::size_t>(get(v, "from"));
+    p.to = dec_int<std::size_t>(get(v, "to"));
     p.plan = dec_actions(get(v, "plan"));
     p.prepared_at = dec_num(get(v, "prepared_at"));
-    p.intervals_left = static_cast<int>(dec_int(get(v, "intervals_left")));
+    p.intervals_left = dec_int<int>(get(v, "intervals_left"));
     return p;
 }
 
@@ -487,7 +497,7 @@ coordinator_state dec_coordinator(const value& v) {
     coordinator_state s;
     s.pods = dec_list(get(v, "pods"), dec_pod);
     s.budgets = dec_nums(get(v, "budgets"));
-    s.brokered_migrations = dec_int(get(v, "brokered_migrations"));
+    s.brokered_migrations = dec_int<std::int64_t>(get(v, "brokered_migrations"));
     s.stray_apps = dec_indices(get(v, "stray_apps"));
     s.health = dec_list(get(v, "health"), dec_health);
     s.pending = dec_list(get(v, "pending"), dec_pending);
@@ -508,7 +518,7 @@ std::string to_json(const snapshot& s) {
 snapshot snapshot_from_json(std::string_view text) {
     const value v = value::parse(text);
     snapshot s;
-    s.version = static_cast<int>(dec_int(get(v, "version")));
+    s.version = dec_int<int>(get(v, "version"));
     MISTRAL_CHECK_MSG(s.version == snapshot_version,
                       "snapshot: version " << s.version << " != supported "
                                            << snapshot_version);
@@ -542,11 +552,11 @@ decision_input decision_input_from_json(std::string_view text) {
     in.failed = dec_actions(get(v, "failed"));
     in.in_flight = dec_actions(get(v, "in_flight"));
     in.hosts_failed = dec_list(get(v, "hosts_failed"), [](const value& x) {
-        return static_cast<std::int32_t>(dec_int(x));
+        return dec_int<std::int32_t>(x);
     });
     in.hosts_recovered =
         dec_list(get(v, "hosts_recovered"), [](const value& x) {
-            return static_cast<std::int32_t>(dec_int(x));
+            return dec_int<std::int32_t>(x);
         });
     in.response_times = dec_nums(get(v, "response_times"));
     in.samples = dec_nums(get(v, "samples"));

@@ -140,7 +140,6 @@ bool utility_model::update_econ(seconds now) {
             ? 0.0
             : carbon * (params_.monitoring_interval / 3600.0) *
                   (econ_->profile.carbon_price_per_kg / 1000.0);
-    ++econ_->epoch;
     return true;
 }
 

@@ -9,7 +9,6 @@
 // the stability interval.
 #pragma once
 
-#include <cstdint>
 #include <memory>
 #include <optional>
 #include <span>
@@ -122,13 +121,12 @@ public:
     // it* (shared_ptr semantics), which is how the controller keeps its own
     // model, the searches' models, and the evaluators' models priced
     // identically. update_econ re-indexes the tariff at `now` and returns
-    // true when any factor changed, bumping the epoch so evaluators drop
-    // price-dependent memos. An unbound model reports epoch 0 and behaves
-    // exactly as before this layer existed.
+    // true when any factor changed (the controller's tariff_change trigger).
+    // An unbound model's update_econ is a no-op returning false, and it
+    // behaves exactly as before this layer existed.
     void bind_econ(const econ_profile& profile);
     bool update_econ(seconds now);
     [[nodiscard]] bool econ_bound() const { return econ_ != nullptr; }
-    [[nodiscard]] std::uint64_t econ_epoch() const { return econ_ ? econ_->epoch : 0; }
     [[nodiscard]] const econ_factors& econ_now() const;
     [[nodiscard]] const econ_profile& econ_profile_ref() const;
 
@@ -136,7 +134,6 @@ private:
     struct econ_state {
         econ_profile profile;
         econ_factors factors;
-        std::uint64_t epoch = 1;
     };
 
     [[nodiscard]] dollars pbp_revenue(req_per_sec rate, seconds response_time,

@@ -11,9 +11,6 @@ event search_profile::to_event(double now) const {
         .integer("expansions", expansions)
         .integer("generated", generated)
         .boolean("pruned", pruned)
-        .integer("eval_hits", eval_hits)
-        .integer("eval_misses", eval_misses)
-        .num("memo_hit_rate", memo_hit_rate())
         .text("meter", meter)
         .num_list("depth_expansions", depth_expansions)
         .num_list("depth_meter_time", depth_meter_time)

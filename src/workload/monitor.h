@@ -13,8 +13,9 @@
 // exist. The validator grades every observation window (finiteness, range,
 // empty-window, jump, and stuck-at staleness checks) into a per-window
 // quality verdict and substitutes the last healthy measurement for values
-// that would poison downstream consumers (a NaN rate would abort in
-// eval_memo::quantize; an empty window has no defined mean response time).
+// that would poison downstream consumers (a NaN rate would abort in the
+// evaluator's begin_decision; an empty window has no defined mean response
+// time).
 // On healthy telemetry the verdict passes the measured values through
 // untouched, so a validating controller is byte-identical to a
 // non-validating one until a fault actually arrives.

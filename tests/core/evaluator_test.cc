@@ -62,71 +62,26 @@ whole_solve solve_whole(const cluster::cluster_model& model,
     return out;
 }
 
-// ---- eval_memo -------------------------------------------------------------
+// ---- rate binding ----------------------------------------------------------
 
-TEST_F(EvaluatorTest, MemoCountsHitsAndMisses) {
+// Sub-solves are keyed on each rate's exact bit pattern: equal rates share
+// every sub-solve, and any bit-level move re-keys the app it touches (the
+// fixture's apps sit on disjoint hosts, so the other app still hits).
+TEST_F(EvaluatorTest, BeginDecisionKeysSubSolvesOnExactRateBits) {
     serial_evaluator ev(model, utility_model{});
-    ev.begin_decision({40.0, 40.0});
-    const auto a = ev.evaluate(base(0.4));
-    const auto b = ev.evaluate(base(0.4));  // identical configuration
-    EXPECT_EQ(ev.stats().cache_misses, 1u);
-    EXPECT_EQ(ev.stats().cache_hits, 1u);
-    EXPECT_EQ(ev.stats().evaluations, 1u);
-    EXPECT_EQ(a.rate, b.rate);
-    EXPECT_EQ(a.response_times, b.response_times);
-}
-
-TEST_F(EvaluatorTest, MemoEvictsAtCapacity) {
-    eval_memo memo(2);
-    memo.bind_rates({40.0, 40.0});
-    memo.insert(base(0.3), {});
-    memo.insert(base(0.4), {});
-    EXPECT_EQ(memo.size(), 2u);
-    EXPECT_EQ(memo.evictions(), 0u);
-    memo.insert(base(0.5), {});
-    EXPECT_EQ(memo.size(), 2u);
-    EXPECT_EQ(memo.evictions(), 1u);
-    // Least-recently-used entry (0.3 caps) was the one dropped.
-    EXPECT_EQ(memo.find(base(0.3)), nullptr);
-    EXPECT_NE(memo.find(base(0.4)), nullptr);
-    EXPECT_NE(memo.find(base(0.5)), nullptr);
-}
-
-TEST_F(EvaluatorTest, MemoLruTouchProtectsFromEviction) {
-    eval_memo memo(2);
-    memo.bind_rates({40.0, 40.0});
-    memo.insert(base(0.3), {});
-    memo.insert(base(0.4), {});
-    ASSERT_NE(memo.find(base(0.3)), nullptr);  // touch: 0.3 becomes MRU
-    memo.insert(base(0.5), {});                // evicts 0.4, not 0.3
-    EXPECT_NE(memo.find(base(0.3)), nullptr);
-    EXPECT_EQ(memo.find(base(0.4)), nullptr);
-}
-
-TEST_F(EvaluatorTest, QuantizeKeysOnExactRateBits) {
-    // Any bit-level difference is a different key; equal rates share one.
-    EXPECT_NE(eval_memo::quantize({10.0, 20.0}),
-              eval_memo::quantize({10.0 + 1e-12, 20.0}));
-    EXPECT_EQ(eval_memo::quantize({10.0, 20.0}),
-              eval_memo::quantize({10.0, 20.0}));
-}
-
-TEST_F(EvaluatorTest, RebindingRatesClearsExactKeyedMemo) {
-    serial_evaluator ev(model, utility_model{});
-    ev.begin_decision({40.0, 40.0});
+    ev.begin_decision({10.0, 20.0});
     (void)ev.evaluate(base());
-    // Same rates: the memo survives, so this is a hit.
-    ev.begin_decision({40.0, 40.0});
+    EXPECT_EQ(ev.stats().app_solves, 2u);
+    ev.begin_decision({10.0, 20.0});
     (void)ev.evaluate(base());
-    EXPECT_EQ(ev.stats().cache_hits, 1u);
-    // Moved rates: the store is invalidated.
-    ev.begin_decision({41.0, 40.0});
+    EXPECT_EQ(ev.stats().app_solves, 2u);
+    ev.begin_decision({10.0 + 1e-12, 20.0});
     (void)ev.evaluate(base());
-    EXPECT_EQ(ev.stats().cache_misses, 2u);
+    EXPECT_EQ(ev.stats().app_solves, 3u);
+    EXPECT_EQ(ev.stats().app_cache_hits, 3u);
 }
 
 TEST_F(EvaluatorTest, OptionsAreValidated) {
-    EXPECT_THROW(eval_memo(0), invariant_error);
     EXPECT_THROW(app_solve_cache(0), invariant_error);
 }
 
@@ -137,6 +92,8 @@ TEST_F(EvaluatorTest, EvaluateRequiresBoundDecision) {
 
 // ---- batch semantics -------------------------------------------------------
 
+// The batch carries a duplicate entry: it is evaluated again, in place, and
+// comes back bit-identical to its sequential twin.
 TEST_F(EvaluatorTest, BatchMatchesSequentialAndDedupes) {
     serial_evaluator batched(model, utility_model{});
     serial_evaluator sequential(model, utility_model{});
@@ -153,10 +110,8 @@ TEST_F(EvaluatorTest, BatchMatchesSequentialAndDedupes) {
         EXPECT_EQ(b[i].power, s.power) << i;
         EXPECT_EQ(b[i].response_times, s.response_times) << i;
     }
-    // The duplicate is solved once and counted as a hit, in both.
-    EXPECT_EQ(batched.stats().evaluations, 3u);
-    EXPECT_EQ(sequential.stats().evaluations, 3u);
-    EXPECT_EQ(batched.stats().cache_hits, sequential.stats().cache_hits);
+    EXPECT_EQ(b[0].rate, b[2].rate);
+    EXPECT_EQ(b[0].response_times, b[2].response_times);
     EXPECT_EQ(batched.stats().cache_misses, sequential.stats().cache_misses);
     EXPECT_EQ(batched.stats().app_solves, sequential.stats().app_solves);
     EXPECT_EQ(batched.parallelism(), 1u);
@@ -251,7 +206,7 @@ TEST_F(EvaluatorTest, DeltaEvaluationIsBitIdenticalToFull) {
 }
 
 // The oracle property: along random action walks — powered-off hosts,
-// failed hosts, memo revisits — and across rate vectors the evaluator keeps
+// failed hosts, parent revisits — and across rate vectors the evaluator keeps
 // returning to, every evaluation bit-matches one whole-configuration
 // lqn::solve, while the sub-solve cache pays for strictly fewer sub-solves.
 TEST(EvaluatorOracle, DeltaEvaluationMatchesWholeSolveOnRandomWalks) {
@@ -299,8 +254,9 @@ TEST(EvaluatorOracle, DeltaEvaluationMatchesWholeSolveOnRandomWalks) {
             // later windows return to rates the app cache has seen.
             const auto& rates = levels[(walk * 60 + step) / 5 % levels.size()];
             ev.begin_decision(rates);
-            // The child, then its parent again — an A*-style revisit that the
-            // memo serves whenever the rates did not move in between.
+            // The child, then its parent again — an A*-style revisit whose
+            // sub-solves the cache serves whenever the rates did not move in
+            // between.
             for (const cluster::configuration& config : {c, parent}) {
                 const auto got = ev.evaluate(config);
                 const auto want = solve_whole(model, config, rates);
@@ -316,8 +272,7 @@ TEST(EvaluatorOracle, DeltaEvaluationMatchesWholeSolveOnRandomWalks) {
     EXPECT_GT(with_dark_host, 0u);
     EXPECT_GT(with_failed_host, 0u);
     const auto& st = ev.stats();
-    EXPECT_GT(st.cache_hits, 0u);      // memo revisits were exercised
-    EXPECT_GT(st.app_cache_hits, 0u);  // and sub-solve reuse
+    EXPECT_GT(st.app_cache_hits, 0u);  // sub-solve reuse was exercised
     EXPECT_LT(st.app_solves, st.cache_misses * model.app_count());
 }
 
@@ -338,8 +293,7 @@ TEST_F(EvaluatorTest, NeighborEvaluationResolvesOnlyTouchedApps) {
 }
 
 // Sub-solves persist across decisions: when the workload returns to a level
-// seen before, the memo (exact-keyed, cleared on the rate move) misses but
-// the app cache still holds that level's sub-solves.
+// seen before, the app cache still holds that level's sub-solves.
 TEST_F(EvaluatorTest, AppCachePersistsAcrossDecisions) {
     serial_evaluator ev(model, utility_model{});
     ev.begin_decision({40.0, 40.0});
@@ -350,7 +304,7 @@ TEST_F(EvaluatorTest, AppCachePersistsAcrossDecisions) {
 
     ev.begin_decision({40.0, 40.0});  // back to the first level
     (void)ev.evaluate(base());
-    EXPECT_EQ(ev.stats().cache_misses, 3u);  // memo was invalidated…
+    EXPECT_EQ(ev.stats().cache_misses, 3u);  // three steady evaluations…
     EXPECT_EQ(ev.stats().app_solves, 4u);    // …but no new sub-solves
     EXPECT_EQ(ev.stats().app_cache_hits, 2u);
 
@@ -360,29 +314,35 @@ TEST_F(EvaluatorTest, AppCachePersistsAcrossDecisions) {
     EXPECT_EQ(ev.stats().app_solves, 2u);  // reset_memo cleared the app cache
 }
 
-TEST_F(EvaluatorTest, QuantizeRejectsNegativeAndNaNRates) {
-    EXPECT_THROW((void)eval_memo::quantize({-1.0}), invariant_error);
-    EXPECT_THROW((void)eval_memo::quantize({40.0, -0.5}), invariant_error);
+TEST_F(EvaluatorTest, BeginDecisionRejectsNegativeAndNaNRates) {
+    constexpr double inf = std::numeric_limits<double>::infinity();
+    serial_evaluator ev(model, utility_model{});
+    EXPECT_THROW(ev.begin_decision({-1.0, 40.0}), invariant_error);
+    EXPECT_THROW(ev.begin_decision({40.0, -0.5}), invariant_error);
     EXPECT_THROW(
-        (void)eval_memo::quantize({std::numeric_limits<double>::quiet_NaN()}),
+        ev.begin_decision({std::numeric_limits<double>::quiet_NaN(), 40.0}),
         invariant_error);
-    EXPECT_THROW(
-        (void)eval_memo::quantize({std::numeric_limits<double>::infinity()}),
-        invariant_error);
+    EXPECT_THROW(ev.begin_decision({inf, 40.0}), invariant_error);
+    EXPECT_THROW(ev.begin_decision({40.0, -inf}), invariant_error);
     // Zero is a legitimate rate (an idle application).
-    EXPECT_EQ(eval_memo::quantize({0.0}).size(), 1u);
+    EXPECT_NO_THROW(ev.begin_decision({0.0, 40.0}));
+    EXPECT_NO_THROW(ev.begin_decision({0.0, 0.0}));
 }
 
 // ---- search -----------------------------------------------------------------
 
-// The search reports the engine's per-decision cache effectiveness.
+// The search reports the engine's per-decision sub-solve accounting.
 TEST_F(EvaluatorTest, SearchStatsExposeCacheCounters) {
     adaptation_search search(model, utility_model{},
                              cost::cost_table::paper_defaults(), {});
     model_clock_meter meter;
     const auto r = search.find(base(), {40.0, 40.0}, 600.0, 0.0, meter);
-    EXPECT_GT(r.stats.eval_cache_misses, 0u);
-    EXPECT_GT(r.stats.eval_cache_hits, 0u);
+    EXPECT_GT(r.stats.eval_app_solves, 0u);
+    EXPECT_GT(r.stats.eval_app_cache_hits, 0u);
+    EXPECT_EQ(r.stats.eval_app_cache_misses, r.stats.eval_app_solves);
+    const auto& es = search.evaluator().stats();
+    EXPECT_EQ(r.stats.eval_app_solves, es.app_solves);
+    EXPECT_EQ(r.stats.eval_app_cache_hits, es.app_cache_hits);
 }
 
 }  // namespace

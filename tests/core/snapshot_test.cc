@@ -102,6 +102,42 @@ TEST(SnapshotCodec, NonFiniteValuesSurviveTheRoundTrip) {
     EXPECT_GT(back.rates[0], 0.0);
 }
 
+// Integer fields never alias: an id past the destination type's range, or a
+// fractional one, is refused instead of being rounded or wrapped onto a
+// different, valid host or VM.
+TEST(SnapshotCodec, OutOfRangeAndFractionalIntegersAreRefused) {
+    const std::string config_ok =
+        R"({"vms":2,"hosts":2,"on":[1],"down":[],"placed":[[0,1,0.5]]})";
+    ASSERT_NO_THROW((void)configuration_from_json(config_ok));
+    EXPECT_THROW((void)configuration_from_json(
+                     R"({"vms":2,"hosts":2,"on":[4294967297],"down":[],"placed":[]})"),
+                 invariant_error);
+    EXPECT_THROW((void)configuration_from_json(
+                     R"({"vms":2,"hosts":2,"on":[0.6],"down":[],"placed":[]})"),
+                 invariant_error);
+    EXPECT_THROW(
+        (void)configuration_from_json(
+            R"({"vms":2,"hosts":2,"on":[1],"down":[],"placed":[[4294967296,1,0.5]]})"),
+        invariant_error);
+
+    ASSERT_NO_THROW((void)action_from_json(R"({"kind":"migrate","vm":0,"to":1})"));
+    EXPECT_THROW((void)action_from_json(
+                     R"({"kind":"migrate","vm":4294967296,"to":1.4})"),
+                 invariant_error);
+
+    decision_input in;
+    in.rates = {10.0};
+    in.current = cluster::configuration(1, 2);
+    in.hosts_failed = {0};
+    const std::string input_ok = to_json(in);
+    ASSERT_NO_THROW((void)decision_input_from_json(input_ok));
+    std::string bad = input_ok;
+    const std::string needle = "\"hosts_failed\":[0]";
+    ASSERT_NE(bad.find(needle), std::string::npos);
+    bad.replace(bad.find(needle), needle.size(), "\"hosts_failed\":[4294967296]");
+    EXPECT_THROW((void)decision_input_from_json(bad), invariant_error);
+}
+
 TEST(Snapshot, LiveCoordinatorStateRoundTripsExactly) {
     const auto model = two_app_model(6);
     const auto costs = cost::cost_table::paper_defaults();

@@ -163,34 +163,32 @@ TEST(Pricing, CarbonPriceAddsToThePowerRate) {
     EXPECT_LT(u.power_rate(100.0), plain.power_rate(100.0));
 }
 
-TEST(Pricing, UpdateEconTracksTheTariffAndBumpsTheEpoch) {
+TEST(Pricing, UpdateEconTracksTheTariffAndReportsChanges) {
     core::econ_profile profile;
     profile.enabled = true;
     profile.tariff.price =
         step_series({{0.0, 0.01}, {100.0, 0.03}}, 200.0);
     core::utility_model u;
     u.bind_econ(profile);
-    const auto epoch0 = u.econ_epoch();
-    EXPECT_GT(epoch0, 0u);
     EXPECT_FALSE(u.update_econ(50.0));  // same block: no change
-    EXPECT_EQ(u.econ_epoch(), epoch0);
+    EXPECT_EQ(u.econ_now().power_price, 0.01);
     EXPECT_TRUE(u.update_econ(150.0));  // crossed into the expensive block
     EXPECT_EQ(u.econ_now().power_price, 0.03);
-    EXPECT_GT(u.econ_epoch(), epoch0);
+    EXPECT_FALSE(u.update_econ(180.0));
     EXPECT_TRUE(u.update_econ(250.0));  // wrapped back to the cheap block
     EXPECT_EQ(u.econ_now().power_price, 0.01);
 
-    // Copies share the binding: re-pricing one re-prices the other.
+    // Copies share the binding: re-pricing one re-prices the other, and the
+    // copy sees no further change to report.
     core::utility_model copy = u;
     EXPECT_TRUE(u.update_econ(150.0));
     EXPECT_EQ(copy.econ_now().power_price, 0.03);
-    EXPECT_EQ(copy.econ_epoch(), u.econ_epoch());
+    EXPECT_FALSE(copy.update_econ(150.0));
 }
 
-TEST(Pricing, UnboundModelReportsEpochZero) {
+TEST(Pricing, UnboundModelReportsNoEconBinding) {
     core::utility_model u;
     EXPECT_FALSE(u.econ_bound());
-    EXPECT_EQ(u.econ_epoch(), 0u);
     EXPECT_FALSE(u.update_econ(100.0));
     EXPECT_THROW(u.econ_now(), invariant_error);
 }

@@ -141,8 +141,8 @@ TEST(EconEquivalence, FlatEconDecisionTraceIsIdenticalStepByStep) {
                   bits_of(op.decision_power_cost));
         EXPECT_EQ(oe.stats.expansions, op.stats.expansions);
         EXPECT_EQ(oe.stats.generated, op.stats.generated);
-        EXPECT_EQ(oe.stats.eval_cache_hits, op.stats.eval_cache_hits);
-        EXPECT_EQ(oe.stats.eval_cache_misses, op.stats.eval_cache_misses);
+        EXPECT_EQ(oe.stats.eval_app_solves, op.stats.eval_app_solves);
+        EXPECT_EQ(oe.stats.eval_app_cache_hits, op.stats.eval_app_cache_hits);
         for (const auto& a : oe.actions) {
             cfg_e = apply(scn.model, cfg_e, a);
             cfg_p = apply(scn.model, cfg_p, a);

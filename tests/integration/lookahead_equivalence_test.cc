@@ -137,8 +137,8 @@ TEST(LookaheadEquivalence, K1DecisionTraceIsIdenticalStepByStep) {
                   bits_of(of.decision_power_cost));
         EXPECT_EQ(ol.stats.expansions, of.stats.expansions);
         EXPECT_EQ(ol.stats.generated, of.stats.generated);
-        EXPECT_EQ(ol.stats.eval_cache_hits, of.stats.eval_cache_hits);
-        EXPECT_EQ(ol.stats.eval_cache_misses, of.stats.eval_cache_misses);
+        EXPECT_EQ(ol.stats.eval_app_solves, of.stats.eval_app_solves);
+        EXPECT_EQ(ol.stats.eval_app_cache_hits, of.stats.eval_app_cache_hits);
         for (const auto& a : ol.actions) {
             cfg_l = apply(scn.model, cfg_l, a);
             cfg_f = apply(scn.model, cfg_f, a);

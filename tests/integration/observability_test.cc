@@ -177,15 +177,6 @@ TEST(Observability, SearchProfilesAreInternallyConsistent) {
         // second is attributed to some depth.
         EXPECT_NEAR(attributed, e.find("duration")->num, 1e-9);
         EXPECT_EQ(e.find("meter")->text, "model_clock");
-        const double hits = static_cast<double>(e.find("eval_hits")->integer);
-        const double misses =
-            static_cast<double>(e.find("eval_misses")->integer);
-        const double rate = e.find("memo_hit_rate")->num;
-        if (hits + misses > 0.0) {
-            EXPECT_NEAR(rate, hits / (hits + misses), 1e-12);
-        } else {
-            EXPECT_EQ(rate, 0.0);
-        }
     }
     EXPECT_GT(searches, 0u);
 }

@@ -30,6 +30,57 @@ TEST(ErlangC, KnownTextbookValue) {
     EXPECT_NEAR(erlang_c(1.0, 2), 1.0 / 3.0, 1e-9);
 }
 
+// Independent oracle: Erlang-C by direct summation,
+//   C(m, a) = T·m/(m − a) / (Σ_{k<m} a^k/k! + T·m/(m − a)),  T = a^m/m!,
+// with a^k/k! carried as a running term. Stable for a < m ≤ 64 (the
+// largest term stays below e^64).
+double erlang_c_by_summation(double a, int m) {
+    double term = 1.0;  // a^0 / 0!
+    double below = 0.0;
+    for (int k = 0; k < m; ++k) {
+        below += term;
+        term *= a / static_cast<double>(k + 1);
+    }
+    const double servers = static_cast<double>(m);
+    const double waiting = term * servers / (servers - a);
+    return waiting / (below + waiting);
+}
+
+TEST(ErlangC, MatchesDirectSummationAcrossServerCounts) {
+    for (int m = 1; m <= 64; ++m) {
+        for (int step = 1; step < 50; ++step) {
+            const double a = static_cast<double>(m) * step / 50.0;
+            const double want = erlang_c_by_summation(a, m);
+            const double got = erlang_c(a, m);
+            ASSERT_LE(std::abs(got - want), 1e-12 * want)
+                << "m=" << m << " a=" << a;
+        }
+    }
+}
+
+TEST(ErlangC, TextbookValues) {
+    EXPECT_NEAR(erlang_c(2.0, 3), 4.0 / 9.0, 1e-15);
+    EXPECT_NEAR(erlang_c(2.0, 4), 4.0 / 23.0, 1e-15);
+}
+
+TEST(MmmWait, MatchesTheErlangCOracleUpToTheOverloadClamp) {
+    for (const int m : {1, 2, 3, 8, 16, 64}) {
+        for (const double s : {0.01, 0.25, 1.0}) {
+            for (int step = 1; step <= 49; ++step) {
+                const double rho = 0.02 * step;  // 0.02 … 0.98
+                const double lambda = rho * m / s;
+                const double a = lambda * s;
+                if (a / m > 0.98) continue;  // the overload branch takes over
+                const double want =
+                    erlang_c_by_summation(a, m) * s / (static_cast<double>(m) - a);
+                const double got = mm_m_wait(lambda, s, m);
+                ASSERT_LE(std::abs(got - want), 1e-12 * want)
+                    << "m=" << m << " s=" << s << " rho=" << rho;
+            }
+        }
+    }
+}
+
 TEST(ErlangC, MonotoneInOfferedLoad) {
     double prev = -1.0;
     for (double a = 0.0; a < 8.0; a += 0.1) {
