@@ -5,15 +5,17 @@
 //  * Default: a cluster-size sweep of full cold self-aware decisions,
 //    written to BENCH_search.json. Per cell: measured wall-clock decision
 //    latency (host_cpus recorded alongside), the per-app sub-solve cache hit
-//    rate, the LQN sub-solves actually paid per decision, and the steady
-//    evaluations. A whole-configuration solve per evaluation would pay
-//    evaluations × apps sub-solves, so the last two columns are the
+//    rate, the LQN sub-solves actually paid per decision, the steady
+//    evaluations, and the per-app solves the Perf-Pwr ideal's isolated view
+//    paid. A whole-configuration solve per evaluation would pay
+//    evaluations × apps sub-solves, so lqn_solves against evaluations is the
 //    hardware-independent measure of what delta evaluation saves.
 //
 //  * --smoke: the CI gate. Runs the 8-host/4-app cell and fails if the
 //    decision utility deviates from the committed golden value or if the
-//    decision pays more LQN sub-solves than its deterministic count
-//    (kGoldenAppSolves); then the degraded-guard, pod, lookahead and
+//    decision pays more LQN sub-solves (kGoldenAppSolves) or more isolated
+//    per-app solves (kGoldenIsolatedSolves) than its deterministic counts;
+//    then the degraded-guard, pod, lookahead and
 //    warm-restart gates — a single-pod coordinator must match the flat
 //    controller bit-for-bit (which transitively pins the single-pod utility
 //    to the golden value above), the 256-host/64-app sharded refinement must
@@ -77,6 +79,7 @@ struct sweep_cell {
     double app_hit_rate = 0.0;
     std::size_t lqn_solves = 0;   // per-app sub-solves paid per decision
     std::size_t evaluations = 0;  // steady evaluations per decision
+    std::size_t isolated_solves = 0;  // the ideal's per-app solves per decision
 };
 
 sweep_cell run_cell(std::size_t apps, int reps) {
@@ -103,6 +106,7 @@ sweep_cell run_cell(std::size_t apps, int reps) {
         cell.app_hit_rate = es.app_hit_rate();
         cell.lqn_solves = es.app_solves;
         cell.evaluations = es.cache_misses;
+        cell.isolated_solves = es.isolated_solves;
     }
     cell.mean_ms = total_ms / reps;
     return cell;
@@ -231,9 +235,9 @@ int run_sweep(const char* path) {
         const auto& c = cells.back();
         std::printf(
             "hosts=%zu apps=%zu  wall %8.2f ms  app_hit_rate=%.3f  "
-            "lqn_solves=%zu  evaluations=%zu\n",
+            "lqn_solves=%zu  evaluations=%zu  isolated_solves=%zu\n",
             c.hosts, c.apps, c.mean_ms, c.app_hit_rate, c.lqn_solves,
-            c.evaluations);
+            c.evaluations, c.isolated_solves);
     }
 
     std::FILE* f = std::fopen(path, "w");
@@ -251,9 +255,10 @@ int run_sweep(const char* path) {
                      "    {\"hosts\": %zu, \"apps\": %zu, "
                      "\"mean_decision_ms\": %.3f, "
                      "\"app_cache_hit_rate\": %.4f, \"lqn_solves\": %zu, "
-                     "\"evaluations\": %zu}%s\n",
+                     "\"evaluations\": %zu, \"isolated_solves\": %zu}%s\n",
                      c.hosts, c.apps, c.mean_ms, c.app_hit_rate, c.lqn_solves,
-                     c.evaluations, i + 1 < cells.size() ? "," : "");
+                     c.evaluations, c.isolated_solves,
+                     i + 1 < cells.size() ? "," : "");
     }
     std::fprintf(f, "  ],\n  \"pod_cells\": [\n");
     const auto pod_cells = run_pod_sweep();
@@ -315,6 +320,11 @@ int run_smoke() {
     // sub-solve cache stopped serving a repeat; fewer is an improvement —
     // lower the bound with it.
     constexpr std::size_t kGoldenAppSolves = 142;
+    // The Perf-Pwr ideal's isolated per-app solves (deterministic): its
+    // gradient re-solves only the app each candidate changed. A solve of
+    // the whole sizing per candidate would pay app_count per isolated
+    // evaluation (3,328 here).
+    constexpr std::size_t kGoldenIsolatedSolves = 200;
 
     auto scn = core::make_rubis_scenario({.host_count = 8, .app_count = 4});
     const std::vector<req_per_sec> rates(4, 60.0);
@@ -330,9 +340,11 @@ int run_smoke() {
     // §11), printed for the log.
     const std::size_t whole_solves = es.cache_misses * scn.model.app_count();
     std::printf("smoke: decision %8.2f ms  lqn_solves=%zu  whole-config "
-                "equivalent=%zu  eu=%.17g\n",
+                "equivalent=%zu  isolated_solves=%zu  isolated sizings=%zu  "
+                "eu=%.17g\n",
                 std::chrono::duration<double, std::milli>(t1 - t0).count(),
-                es.app_solves, whole_solves, result.expected_utility);
+                es.app_solves, whole_solves, es.isolated_solves,
+                es.evaluations - es.cache_misses, result.expected_utility);
 
     int failures = 0;
     auto fail = [&](const char* what) {
@@ -351,6 +363,9 @@ int run_smoke() {
     }
     if (es.app_solves > kGoldenAppSolves) {
         fail("the decision paid more LQN sub-solves than the golden count");
+    }
+    if (es.isolated_solves > kGoldenIsolatedSolves) {
+        fail("the ideal paid more isolated per-app solves than the golden count");
     }
 
     // Degraded-guard overhead gate: on clean telemetry the degraded-mode

@@ -11,7 +11,15 @@
 // The paper's shape: naive durations blow up super-linearly with scale while
 // self-aware durations grow roughly linearly, and the gap between achieved
 // and ideal utility stays approximately constant.
+//
+// With --json the binary prints the table's numbers instead, at the
+// precision the table prints them, as one JSON object — the "table1"
+// section of BENCH_paper.json, which CI compares exactly:
+//
+//   ./build/bench/table1_scalability --json | python3 bench/paper_check.py table1
+#include <cstdio>
 #include <iostream>
+#include <string>
 
 #include "bench_util.h"
 #include "core/coordinator.h"
@@ -75,10 +83,13 @@ double level1_mean(mistral::obs::metrics_registry& registry,
 
 }  // namespace
 
-int main() {
-    bench::print_header("Table I — search durations and utilities",
-                        "2/3/4-app scenarios; self-aware vs. naive search; "
-                        "Mistral vs. ideal utility");
+int main(int argc, char** argv) {
+    const bool json = argc > 1 && std::string(argv[1]) == "--json";
+    if (!json) {
+        bench::print_header("Table I — search durations and utilities",
+                            "2/3/4-app scenarios; self-aware vs. naive search; "
+                            "Mistral vs. ideal utility");
+    }
 
     const auto& costs = bench::measured_costs();
     // The paper's groups: one level-1 controller for the 2-app scenario,
@@ -92,6 +103,7 @@ int main() {
     table_printer t({"scenario", "#VMs/#hosts", "self-aware avg (s)", "- 1st level",
                      "- 2nd level", "naive avg (s)", "Mistral utility",
                      "ideal utility"});
+    std::string json_rows;
 
     for (const auto& row : rows) {
         auto scn = core::make_rubis_scenario(
@@ -145,16 +157,33 @@ int main() {
             if (ideal.feasible) ideal_total += ideal.utility_rate * interval;
         }
 
-        t.add_row({std::to_string(row.apps) + "-app",
+        const std::string scenario = std::to_string(row.apps) + "-app";
+        const std::string self_aware = table_printer::fmt(r.search_duration.mean(), 2);
+        const std::string level1 =
+            table_printer::fmt(level1_mean(registry, row.groups.size()), 2);
+        const std::string level2 = table_printer::fmt(
+            histo_mean(registry, "mistral_pod_global_search_seconds"), 2);
+        const std::string naive_avg = table_printer::fmt(rn.search_duration.mean(), 2);
+        const std::string achieved = table_printer::fmt(r.cumulative_utility, 1);
+        const std::string ideal = table_printer::fmt(ideal_total, 1);
+        t.add_row({scenario,
                    std::to_string(scn.model.vm_count()) + " / " +
                        std::to_string(row.hosts),
-                   table_printer::fmt(r.search_duration.mean(), 2),
-                   table_printer::fmt(level1_mean(registry, row.groups.size()), 2),
-                   table_printer::fmt(
-                       histo_mean(registry, "mistral_pod_global_search_seconds"), 2),
-                   table_printer::fmt(rn.search_duration.mean(), 2),
-                   table_printer::fmt(r.cumulative_utility, 1),
-                   table_printer::fmt(ideal_total, 1)});
+                   self_aware, level1, level2, naive_avg, achieved, ideal});
+        json_rows += std::string(json_rows.empty() ? "" : ",\n") +
+                     "    {\"scenario\": \"" + scenario +
+                     "\", \"vms\": " + std::to_string(scn.model.vm_count()) +
+                     ", \"hosts\": " + std::to_string(row.hosts) +
+                     ", \"self_aware_avg_s\": " + self_aware +
+                     ", \"level1_avg_s\": " + level1 +
+                     ", \"level2_avg_s\": " + level2 +
+                     ", \"naive_avg_s\": " + naive_avg +
+                     ", \"mistral_utility\": " + achieved +
+                     ", \"ideal_utility\": " + ideal + "}";
+    }
+    if (json) {
+        std::printf("{\n  \"rows\": [\n%s\n  ]\n}\n", json_rows.c_str());
+        return 0;
     }
     t.print(std::cout);
     std::cout

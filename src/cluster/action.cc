@@ -1,6 +1,7 @@
 #include "cluster/action.h"
 
 #include <algorithm>
+#include <array>
 #include <sstream>
 
 #include "common/check.h"
@@ -245,6 +246,64 @@ configuration apply(const cluster_model& model, const configuration& config,
                       "incremental hash diverged applying " << to_string(model, a));
 #endif
     return next;
+}
+
+bool is_candidate_child(const cluster_model& model, const configuration& parent,
+                        const configuration& child, const action& a) {
+    const auto& limits = model.limits();
+    // What `a` touched: at most one VM and two hosts. Everything else is as
+    // in the valid parent.
+    vm_id vm;
+    std::array<host_id, 2> hosts;
+    std::size_t host_n = 0;
+    std::visit(
+        [&](const auto& x) {
+            using T = std::decay_t<decltype(x)>;
+            if constexpr (std::is_same_v<T, power_on> || std::is_same_v<T, power_off>) {
+                hosts[host_n++] = x.host;
+            } else {
+                vm = x.vm;
+                if constexpr (std::is_same_v<T, migrate> ||
+                              std::is_same_v<T, remove_replica>) {
+                    hosts[host_n++] = parent.placement(x.vm)->host;
+                }
+                if constexpr (std::is_same_v<T, migrate> ||
+                              std::is_same_v<T, add_replica>) {
+                    hosts[host_n++] = x.to;
+                }
+            }
+        },
+        a);
+    // structurally_valid's comparisons, on the touched hosts only.
+    for (std::size_t i = 0; i < host_n; ++i) {
+        const host_id h = hosts[i];
+        if (child.host_failed(h) && child.host_on(h)) return false;
+        if (!child.host_on(h) && child.vm_count_on(h) != 0) return false;
+        if (static_cast<int>(child.vm_count_on(h)) > limits.max_vms_per_host) {
+            return false;
+        }
+        const double available =
+            model.hosts()[h.index()].memory_mb - limits.dom0_memory_mb;
+        if (child.memory_sum(model, h) > available + 1e-9) return false;
+    }
+    if (vm.valid()) {
+        const auto& tier = model.tier_spec_of(vm);
+        if (const auto& p = child.placement(vm)) {
+            if (p->cpu_cap < tier.min_cpu_cap - 1e-9 ||
+                p->cpu_cap > tier.max_cpu_cap + 1e-9) {
+                return false;
+            }
+        }
+        if (deployed_replicas(model, child, vm) < tier.min_replicas) return false;
+    }
+    // The packing constraint, as is_candidate checks it.
+    for (std::size_t h = 0; h < model.host_count(); ++h) {
+        if (child.cap_sum(host_id{static_cast<std::int32_t>(h)}) >
+            limits.host_cpu_cap + 1e-9) {
+            return false;
+        }
+    }
+    return true;
 }
 
 std::vector<action> enumerate_actions(const cluster_model& model,

@@ -86,6 +86,15 @@ bool applicable(const cluster_model& model, const configuration& config,
 [[nodiscard]] configuration apply(const cluster_model& model,
                                   const configuration& config, const action& a);
 
+// is_candidate(model, child) for child = apply(model, parent, a), given a
+// structurally valid parent: re-checks only what `a` changed — the touched
+// VM's cap window, the touched hosts' power, slot and memory limits, the
+// touched tier's replica minimum — plus the packing constraint on every
+// host. The search drafts each child of a valid parent through this.
+[[nodiscard]] bool is_candidate_child(const cluster_model& model,
+                                      const configuration& parent,
+                                      const configuration& child, const action& a);
+
 // Which actions the optimizer may consider; levels of the controller
 // hierarchy restrict this set (Section II-C).
 struct action_menu {

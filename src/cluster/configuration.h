@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "cluster/model.h"
+#include "common/check.h"
 #include "common/ids.h"
 #include "common/units.h"
 
@@ -41,28 +42,37 @@ public:
     configuration(std::size_t vm_count, std::size_t host_count);
 
     [[nodiscard]] std::size_t vm_count() const { return vms_.size(); }
-    [[nodiscard]] std::size_t host_count() const { return hosts_on_.size(); }
+    [[nodiscard]] std::size_t host_count() const { return hosts_.size(); }
 
-    [[nodiscard]] bool deployed(vm_id vm) const;
+    // The accessors below are inline: the search's child drafting calls
+    // them per VM and per host of every generated child.
+    [[nodiscard]] bool deployed(vm_id vm) const { return placement(vm).has_value(); }
     // Placement of a deployed VM; nullopt for dormant VMs.
-    [[nodiscard]] const std::optional<vm_placement>& placement(vm_id vm) const;
-    [[nodiscard]] bool host_on(host_id host) const;
+    [[nodiscard]] const std::optional<vm_placement>& placement(vm_id vm) const {
+        MISTRAL_CHECK(vm.valid() && vm.index() < vms_.size());
+        return vms_[vm.index()];
+    }
+    [[nodiscard]] bool host_on(host_id host) const { return host_at(host).on; }
     // A failed host has crashed (or been fenced): it is powered off and may
     // not be powered back on until the failure clears. Distinct from a
     // deliberate power-off, which power_on can always reverse.
-    [[nodiscard]] bool host_failed(host_id host) const;
+    [[nodiscard]] bool host_failed(host_id host) const { return host_at(host).failed; }
     [[nodiscard]] bool any_host_failed() const;
 
     [[nodiscard]] std::vector<vm_id> vms_on(host_id host) const;
     // Number of VMs deployed on `host`; O(1) from the incremental aggregates.
-    [[nodiscard]] std::size_t vm_count_on(host_id host) const;
+    [[nodiscard]] std::size_t vm_count_on(host_id host) const {
+        return static_cast<std::size_t>(host_at(host).vm_count);
+    }
     [[nodiscard]] std::size_t active_host_count() const;
     [[nodiscard]] std::size_t deployed_vm_count() const;
 
     // Sum of deployed CPU caps on `host`. Caps are multiples of 1e-3, so the
     // sum is kept as an exact integer milli-cap count: O(1), no accumulation
     // order to worry about.
-    [[nodiscard]] fraction cap_sum(host_id host) const;
+    [[nodiscard]] fraction cap_sum(host_id host) const {
+        return static_cast<fraction>(host_at(host).cap_milli) / 1000.0;
+    }
     // Sum of deployed VM memory on `host` (the model supplies footprints).
     [[nodiscard]] double memory_sum(const cluster_model& model, host_id host) const;
 
@@ -93,22 +103,39 @@ public:
     // Equality is over placements, host power, and failure marks; the
     // per-host aggregates are derived data.
     friend bool operator==(const configuration& a, const configuration& b) {
-        return a.vms_ == b.vms_ && a.hosts_on_ == b.hosts_on_ &&
-               a.hosts_failed_ == b.hosts_failed_;
+        if (a.vms_ != b.vms_ || a.hosts_.size() != b.hosts_.size()) return false;
+        for (std::size_t h = 0; h < a.hosts_.size(); ++h) {
+            if (a.hosts_[h].on != b.hosts_[h].on ||
+                a.hosts_[h].failed != b.hosts_[h].failed) {
+                return false;
+            }
+        }
+        return true;
     }
 
     // Human-readable one-line summary (placements + host states).
     [[nodiscard]] std::string describe(const cluster_model& model) const;
 
 private:
+    // Everything the configuration knows about one host, in one array so a
+    // copy (the search copies once per generated child) is two allocations.
+    struct host_state {
+        // Derived aggregates, maintained by the mutators. Milli-caps are
+        // exact integers (caps are rounded to 1e-3), so incremental updates
+        // can never drift from a from-scratch sum.
+        std::int32_t cap_milli = 0;
+        std::int32_t vm_count = 0;
+        bool on = false;
+        bool failed = false;
+    };
+
+    [[nodiscard]] const host_state& host_at(host_id host) const {
+        MISTRAL_CHECK(host.valid() && host.index() < hosts_.size());
+        return hosts_[host.index()];
+    }
+
     std::vector<std::optional<vm_placement>> vms_;
-    std::vector<bool> hosts_on_;
-    std::vector<bool> hosts_failed_;
-    // Derived per-host aggregates, maintained by the mutators. Milli-caps are
-    // exact integers (caps are rounded to 1e-3), so incremental updates can
-    // never drift from a from-scratch sum.
-    std::vector<std::int32_t> host_cap_milli_;
-    std::vector<std::int32_t> host_vm_count_;
+    std::vector<host_state> hosts_;
     // Incremental Zobrist hash: XOR of one pseudo-random 64-bit key per
     // (vm, host, milli-cap) placement, per powered-on host, and per failure
     // mark, over a size-derived base. XOR updates are self-inverse, so every

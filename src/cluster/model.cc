@@ -34,27 +34,6 @@ cluster_model::cluster_model(std::vector<host_spec> hosts,
     }
 }
 
-const vm_descriptor& cluster_model::vm(vm_id id) const {
-    MISTRAL_CHECK(id.valid() && id.index() < vms_.size());
-    return vms_[id.index()];
-}
-
-const std::vector<vm_id>& cluster_model::tier_vms(app_id app, std::size_t tier) const {
-    MISTRAL_CHECK(app.valid() && app.index() < tier_vms_.size());
-    MISTRAL_CHECK(tier < tier_vms_[app.index()].size());
-    return tier_vms_[app.index()][tier];
-}
-
-const apps::application_spec& cluster_model::app(app_id id) const {
-    MISTRAL_CHECK(id.valid() && id.index() < apps_.size());
-    return apps_[id.index()];
-}
-
-const apps::tier_spec& cluster_model::tier_spec_of(vm_id id) const {
-    const auto& desc = vm(id);
-    return app(desc.app).tiers()[desc.tier];
-}
-
 std::vector<host_spec> uniform_hosts(std::size_t count, double memory_mb) {
     MISTRAL_CHECK(count > 0);
     std::vector<host_spec> out;

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "apps/application.h"
+#include "common/check.h"
 #include "common/ids.h"
 #include "common/units.h"
 #include "power/model.h"
@@ -59,13 +60,28 @@ public:
     // The full VM inventory (deployable replicas of every tier).
     [[nodiscard]] const std::vector<vm_descriptor>& vms() const { return vms_; }
     [[nodiscard]] std::size_t vm_count() const { return vms_.size(); }
-    [[nodiscard]] const vm_descriptor& vm(vm_id id) const;
+    // The lookups below are inline: the search's child drafting and
+    // candidacy checks call them per VM of every generated child.
+    [[nodiscard]] const vm_descriptor& vm(vm_id id) const {
+        MISTRAL_CHECK(id.valid() && id.index() < vms_.size());
+        return vms_[id.index()];
+    }
 
     // VMs belonging to (app, tier), ordered by replica index.
-    [[nodiscard]] const std::vector<vm_id>& tier_vms(app_id app, std::size_t tier) const;
+    [[nodiscard]] const std::vector<vm_id>& tier_vms(app_id app, std::size_t tier) const {
+        MISTRAL_CHECK(app.valid() && app.index() < tier_vms_.size());
+        MISTRAL_CHECK(tier < tier_vms_[app.index()].size());
+        return tier_vms_[app.index()][tier];
+    }
 
-    [[nodiscard]] const apps::application_spec& app(app_id id) const;
-    [[nodiscard]] const apps::tier_spec& tier_spec_of(vm_id id) const;
+    [[nodiscard]] const apps::application_spec& app(app_id id) const {
+        MISTRAL_CHECK(id.valid() && id.index() < apps_.size());
+        return apps_[id.index()];
+    }
+    [[nodiscard]] const apps::tier_spec& tier_spec_of(vm_id id) const {
+        const auto& desc = vm(id);
+        return app(desc.app).tiers()[desc.tier];
+    }
 
 private:
     std::vector<host_spec> hosts_;

@@ -1,5 +1,6 @@
 #include "core/evaluator.h"
 
+#include <bit>
 #include <cmath>
 #include <utility>
 
@@ -122,6 +123,7 @@ void serial_evaluator::begin_decision(const std::vector<req_per_sec>& rates) {
     // a tariff change (utility_model::update_econ) cannot stale one either.
     rate_key_ = rate_bits(rates);
     rates_ = rates;
+    isolated_rt_.clear();
     targets_.resize(model_->app_count());
     for (std::size_t a = 0; a < model_->app_count(); ++a) {
         targets_[a] = utility_.planning_target(
@@ -186,39 +188,55 @@ std::vector<steady_utility> serial_evaluator::evaluate_batch(
     return out;
 }
 
-isolated_perf serial_evaluator::compute_isolated(const app_sizing& s) const {
-    MISTRAL_CHECK(s.size() == model_->app_count());
-    std::vector<lqn::app_deployment> deps;
-    std::size_t fake_host = 0;
-    for (std::size_t a = 0; a < model_->app_count(); ++a) {
-        lqn::app_deployment dep;
-        dep.spec = &model_->app(app_id{static_cast<std::int32_t>(a)});
-        dep.rate = rates_[a];
-        dep.tiers.resize(dep.spec->tier_count());
-        for (std::size_t t = 0; t < dep.spec->tier_count(); ++t) {
-            for (int r = 0; r < s[a][t].replicas; ++r) {
-                dep.tiers[t].replicas.push_back({fake_host++, s[a][t].cap});
-            }
-        }
-        deps.push_back(std::move(dep));
+seconds serial_evaluator::isolated_response_time(
+    std::size_t a, const std::vector<tier_sizing>& tiers) {
+    const auto& spec = model_->app(app_id{static_cast<std::int32_t>(a)});
+    MISTRAL_CHECK(tiers.size() == spec.tier_count());
+    auto& key = isolated_key_.words;
+    key.clear();
+    key.push_back(a);
+    for (const auto& t : tiers) {
+        key.push_back(static_cast<std::uint64_t>(t.replicas));
+        key.push_back(std::bit_cast<std::uint64_t>(t.cap));
     }
-    const auto solved = lqn::solve(deps, fake_host, lqn_);
+    if (const auto it = isolated_rt_.find(isolated_key_); it != isolated_rt_.end()) {
+        return it->second;
+    }
+    // Every replica alone on a synthetic host: a host's load, and so its
+    // inflation, is its one replica's, whichever other apps are sized
+    // alongside. Solving the app on hosts of its own is therefore
+    // bit-identical to the whole sizing's joint lqn::solve.
+    std::vector<lqn::app_deployment> dep(1);
+    dep[0].spec = &spec;
+    dep[0].rate = rates_[a];
+    dep[0].tiers.resize(spec.tier_count());
+    std::size_t fake_host = 0;
+    for (std::size_t t = 0; t < spec.tier_count(); ++t) {
+        for (int r = 0; r < tiers[t].replicas; ++r) {
+            dep[0].tiers[t].replicas.push_back({fake_host++, tiers[t].cap});
+        }
+    }
+    const auto loads = lqn::compute_host_loads(dep, fake_host, lqn_);
+    const seconds rt = lqn::solve_app(dep[0], loads.inflation, lqn_).mean_response_time;
+    ++stats_.isolated_solves;
+    isolated_rt_.emplace(isolated_key_, rt);
+    return rt;
+}
+
+isolated_perf serial_evaluator::evaluate_isolated(const app_sizing& s) {
+    MISTRAL_CHECK_MSG(!rates_.empty(), "begin_decision() before evaluate_isolated()");
+    MISTRAL_CHECK(s.size() == model_->app_count());
+    ++stats_.evaluations;
+    obs_solves_.add();
     isolated_perf out;
     out.response_times.reserve(model_->app_count());
     for (std::size_t a = 0; a < model_->app_count(); ++a) {
-        const seconds rt = solved.apps[a].mean_response_time;
+        const seconds rt = isolated_response_time(a, s[a]);
         out.response_times.push_back(rt);
         out.perf_rate += utility_.perf_rate(rates_[a], rt, targets_[a]);
         if (rt > targets_[a]) out.meets_all_targets = false;
     }
     return out;
-}
-
-isolated_perf serial_evaluator::evaluate_isolated(const app_sizing& s) {
-    MISTRAL_CHECK_MSG(!rates_.empty(), "begin_decision() before evaluate_isolated()");
-    ++stats_.evaluations;
-    obs_solves_.add();
-    return compute_isolated(s);
 }
 
 std::vector<isolated_perf> serial_evaluator::evaluate_isolated_batch(
@@ -231,6 +249,7 @@ std::vector<isolated_perf> serial_evaluator::evaluate_isolated_batch(
 
 void serial_evaluator::reset_memo() {
     app_cache_.clear();
+    isolated_rt_.clear();
     stats_ = {};
 }
 

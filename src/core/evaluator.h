@@ -22,6 +22,11 @@
 //    evaluation".
 //  * lqn::solve_app — the sub-solve itself, on a cache miss.
 //
+// The Perf-Pwr gradient's isolated view (evaluate_isolated) is scored one
+// application at a time through its own per-decision table: every replica
+// sits alone on a synthetic host, so an app's response time depends only on
+// its own sizing, and a gradient candidate re-solves only the app it changed.
+//
 // There is no whole-configuration memo: the search evaluates each vertex
 // once, and below the sub-solve cache a repeat costs only the translation,
 // the host loads and the assembly (DESIGN.md §8 has the measurements).
@@ -105,6 +110,11 @@ struct evaluation_stats {
     std::size_t app_solves = 0;
     std::size_t app_cache_hits = 0;
     std::size_t app_cache_misses = 0;
+    // Per-app solves the isolated view paid: one per (app, sizing) the
+    // decision had not yet scored. Counted apart from app_solves, which the
+    // steady path owns; a whole-sizing solve would pay app_count per
+    // isolated evaluation.
+    std::size_t isolated_solves = 0;
 
     [[nodiscard]] double app_hit_rate() const {
         const auto total = app_cache_hits + app_cache_misses;
@@ -245,8 +255,10 @@ public:
     [[nodiscard]] const evaluation_stats& stats() const override { return stats_; }
 
 private:
-    // The isolated-replica performance view of one sizing. Pure.
-    [[nodiscard]] isolated_perf compute_isolated(const app_sizing& s) const;
+    // Mean response time of app `a` sized `tiers` in the isolated view: a
+    // table hit, or one lqn::solve_app on the app's own synthetic hosts.
+    [[nodiscard]] seconds isolated_response_time(
+        std::size_t a, const std::vector<tier_sizing>& tiers);
     // Folds per-app solve results and host utilizations into a
     // steady_utility: power first, then the per-app perf terms in app order.
     // Pure.
@@ -264,6 +276,14 @@ private:
     // what app signatures embed).
     std::vector<std::int64_t> rate_key_;
     app_solve_cache app_cache_;  // persists across decisions
+    // The isolated view's per-app response times under the bound rates,
+    // keyed on the app index and, per tier, the replica count and the cap's
+    // bit pattern. Gradient caps come from repeated subtraction and are
+    // never rounded, so app_signature's milli-caps would alias distinct
+    // doubles; hence a table of its own. begin_decision clears it: no two
+    // decisions share an ideal, so a longer life would buy nothing.
+    std::unordered_map<app_signature, seconds, app_signature_hash> isolated_rt_;
+    app_signature isolated_key_;  // the probe key, reused across lookups
     evaluation_stats stats_;
     // Disabled (one-branch no-op) handles unless the options' sink carries a
     // metrics registry. Recorded alongside stats_, which stays the exact

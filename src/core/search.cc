@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <optional>
 #include <queue>
 #include <unordered_map>
 #include <utility>
@@ -41,6 +42,34 @@ struct vertex {
     double utility = 0.0;        // Algorithm 1's vertex utility (avg rate)
     bool terminal = false;       // reached via the "null" edge
 };
+
+// The best-utility table's keys are vertex indices: hashing and equality
+// read the indexed vertex's configuration, and both also accept a
+// configuration directly (heterogeneous lookup), so probing and recording a
+// child never stores a second copy of its configuration.
+struct vertex_config_hash {
+    using is_transparent = void;
+    const std::vector<vertex>* vertices;
+    std::size_t operator()(std::size_t i) const { return (*vertices)[i].config.hash(); }
+    std::size_t operator()(const configuration& c) const { return c.hash(); }
+};
+
+struct vertex_config_equal {
+    using is_transparent = void;
+    const std::vector<vertex>* vertices;
+    bool operator()(std::size_t a, std::size_t b) const {
+        return (*vertices)[a].config == (*vertices)[b].config;
+    }
+    bool operator()(const configuration& c, std::size_t i) const {
+        return c == (*vertices)[i].config;
+    }
+    bool operator()(std::size_t i, const configuration& c) const {
+        return (*vertices)[i].config == c;
+    }
+};
+
+constexpr std::size_t action_kind_count =
+    static_cast<std::size_t>(cluster::action_kind::power_off) + 1;
 }  // namespace
 
 adaptation_search::adaptation_search(const cluster::cluster_model& model,
@@ -254,15 +283,17 @@ search_result adaptation_search::find(const configuration& current,
     // Max-heap of (utility, vertex index); stale entries skipped on pop.
     using heap_entry = std::pair<double, std::size_t>;
     std::priority_queue<heap_entry> open;
-    // Best utility recorded per configuration (non-terminal vertices).
-    std::unordered_map<configuration, double> best_seen;
+    // Best utility recorded per configuration (non-terminal vertices), keyed
+    // by the index of the first vertex recorded with that configuration.
+    std::unordered_map<std::size_t, double, vertex_config_hash, vertex_config_equal>
+        best_seen(0, vertex_config_hash{&vertices}, vertex_config_equal{&vertices});
 
     vertex root;
     root.config = current;
     root.utility = ideal_rate;  // average-rate bound: nothing beats the ideal
-    vertices.push_back(root);
-    open.push({root.utility, 0});
-    best_seen.emplace(current, root.utility);
+    vertices.push_back(std::move(root));
+    open.push({vertices[0].utility, 0});
+    best_seen.emplace(0, vertices[0].utility);
 
     search_stats stats;
     dollars uh = expected_utility;
@@ -301,6 +332,22 @@ search_result adaptation_search::find(const configuration& current,
         return (accrued + (h - duration) * rate) / h;
     };
 
+    // Cost-table entries, one per (action kind, VM) and one per host-power
+    // kind: an entry depends only on the kind, the VM's tier and app, and
+    // the bound rates, all fixed within this find(). Each slot is filled on
+    // first use through the same lookup, so a kind the table lacks still
+    // fails only when an action of it is drafted.
+    const std::size_t cost_stride = model.vm_count() + 1;
+    std::vector<std::optional<cost::cost_entry>> cost_entries(action_kind_count *
+                                                              cost_stride);
+    auto cost_of = [&](const action& a) -> const cost::cost_entry& {
+        const vm_id vm = detail::touched_vm(a);
+        auto& slot = cost_entries[static_cast<std::size_t>(kind_of(a)) * cost_stride +
+                                  (vm.valid() ? vm.index() : model.vm_count())];
+        if (!slot) slot = costs_.lookup(model, a, rates);
+        return *slot;
+    };
+
     // Drafts the child vertex reached by firing `a` from vertex `v` (index
     // `parent_idx`): everything except the steady-state valuation, which
     // value_child fills in once the batch evaluation has run. `pe` is the
@@ -309,7 +356,7 @@ search_result adaptation_search::find(const configuration& current,
                            const steady_utility& pe,
                            const std::vector<std::uint8_t>& occ,
                            const action& a) -> vertex {
-        const auto entry = costs_.lookup(model, a, rates);
+        const auto& entry = cost_of(a);
         vertex c;
         c.via = a;
         c.parent = static_cast<int>(parent_idx);
@@ -338,36 +385,40 @@ search_result adaptation_search::find(const configuration& current,
     // Records a vertex if it improves on anything previously seen for its
     // configuration; returns its index or -1 when dominated.
     auto record_vertex = [&](vertex&& vc) -> int {
-        auto [it, inserted] = best_seen.emplace(vc.config, vc.utility);
-        if (!inserted) {
+        const auto it = best_seen.find(vc.config);
+        if (it != best_seen.end()) {
             if (vc.utility <= it->second + 1e-12) return -1;
             it->second = vc.utility;
         }
         vertices.push_back(std::move(vc));
-        open.push({vertices.back().utility, vertices.size() - 1});
-        return static_cast<int>(vertices.size()) - 1;
+        const std::size_t idx = vertices.size() - 1;
+        if (it == best_seen.end()) best_seen.emplace(idx, vertices[idx].utility);
+        open.push({vertices[idx].utility, idx});
+        return static_cast<int>(idx);
     };
 
     // Adds the "null"-edge terminal for a candidate vertex; `pe` is the
-    // vertex's steady evaluation, which the caller already holds.
+    // vertex's steady evaluation, which the caller already holds. May grow
+    // `vertices`.
     auto add_terminal = [&](std::size_t idx, const steady_utility& pe) {
-        const vertex& v = vertices[idx];
         // The power budget gates terminal candidacy only: like the packing
         // constraint, intermediates may exceed it while a plan is in flight,
         // but the plan must land inside the cap.
         if (!pe.candidate || pe.power > options_.power_cap) return;
-        vertex term = v;
+        const double utility =
+            average_rate(vertices[idx].accrued, vertices[idx].duration, pe.rate);
+        if (best_terminal >= 0 &&
+            !(utility > vertices[static_cast<std::size_t>(best_terminal)].utility)) {
+            return;
+        }
+        vertex term = vertices[idx];
         term.parent = static_cast<int>(idx);
         term.via.reset();
         term.terminal = true;
-        term.utility = average_rate(v.accrued, v.duration, pe.rate);
-        if (best_terminal < 0 ||
-            term.utility >
-                vertices[static_cast<std::size_t>(best_terminal)].utility) {
-            vertices.push_back(std::move(term));
-            best_terminal = static_cast<int>(vertices.size()) - 1;
-            open.push({vertices.back().utility, vertices.size() - 1});
-        }
+        term.utility = utility;
+        vertices.push_back(std::move(term));
+        best_terminal = static_cast<int>(vertices.size()) - 1;
+        open.push({vertices.back().utility, vertices.size() - 1});
     };
 
     auto finish = [&](int terminal_index) -> search_result {
@@ -443,7 +494,8 @@ search_result adaptation_search::find(const configuration& current,
         std::size_t at = 0;
         int seeded = 0;
         for (const auto& a : plan_transition(model, current, ideal.ideal)) {
-            const vertex v = vertices[at];  // copy; vertices reallocates
+            // Valid until record_vertex grows `vertices`; not used after.
+            const vertex& v = vertices[at];
             if (++seeded > seed_limit || !menu_allows(a) ||
                 !applicable(model, v.config, a) || !allowed(v.config, a)) {
                 break;
@@ -479,13 +531,12 @@ search_result adaptation_search::find(const configuration& current,
     while (!open.empty() && stats.expansions < options_.max_expansions) {
         const auto [u, idx] = open.top();
         open.pop();
-        const vertex v = vertices[idx];  // copy: vertices may reallocate below
-        if (!v.terminal) {
-            const auto it = best_seen.find(v.config);
-            if (it != best_seen.end() && u < it->second - 1e-12) continue;  // stale
-        }
-        if (v.terminal) {
+        if (vertices[idx].terminal) {
             return finish(static_cast<int>(idx));
+        }
+        {
+            const auto it = best_seen.find(vertices[idx].config);
+            if (it != best_seen.end() && u < it->second - 1e-12) continue;  // stale
         }
 
         ++stats.expansions;
@@ -498,7 +549,7 @@ search_result adaptation_search::find(const configuration& current,
                 note_depth(prof_pending_depth, 1.0,
                            now_elapsed - prof_span_start);
             }
-            prof_pending_depth = v.depth;
+            prof_pending_depth = vertices[idx].depth;
             prof_span_start = now_elapsed;
         }
         ut += (now_elapsed - last_elapsed) * current_rate;
@@ -518,8 +569,11 @@ search_result adaptation_search::find(const configuration& current,
         // Terminal ("null") child from candidate configurations. This one
         // evaluation of the popped vertex also prices its children's
         // transients below.
-        const auto pe = engine.evaluate(v.config);
+        const auto pe = engine.evaluate(vertices[idx].config);
         add_terminal(idx, pe);
+        // add_terminal may have grown `vertices`; nothing below does until
+        // the children are recorded, so `v` holds until then.
+        const vertex& v = vertices[idx];
 
         // Action children. The meter charges per child *evaluated* — child
         // construction (cost lookup + utility estimation) is where a real
@@ -538,29 +592,40 @@ search_result adaptation_search::find(const configuration& current,
         // transient accounting + prune distance), then value the candidate
         // children's steady states as one batch.
         const auto occ = detail::occupancy(model, v.config);
+        // is_candidate_child re-checks only what each child's action changed,
+        // which needs a structurally valid parent; any other parent's
+        // children get the full check.
+        const bool parent_valid = cluster::structurally_valid(model, v.config);
         std::vector<vertex> children(acts.size());
         std::vector<std::uint8_t> child_candidate(acts.size(), 0);
         std::vector<double> child_distance(acts.size(), 0.0);
         const bool score_children = prune_mode;
         engine.parallel_for(acts.size(), [&](std::size_t j) {
             vertex c = draft_child(v, idx, pe, occ, acts[j]);
-            child_candidate[j] = is_candidate(model, c.config) ? 1 : 0;
+            const bool candidate =
+                parent_valid ? is_candidate_child(model, v.config, c.config, acts[j])
+                             : is_candidate(model, c.config);
+            child_candidate[j] = candidate ? 1 : 0;
             if (child_candidate[j] == 0) value_child(c, ideal_rate);
             if (score_children) child_distance[j] = prune_distance(c.config);
             children[j] = std::move(c);
         });
+        // The candidate children's configurations visit the batch argument
+        // and come back: moved, never copied.
         std::vector<std::size_t> steady_index;  // children needing a steady eval
         std::vector<configuration> steady_configs;
         for (std::size_t j = 0; j < children.size(); ++j) {
             if (child_candidate[j] != 0) {
                 steady_index.push_back(j);
-                steady_configs.push_back(children[j].config);
+                steady_configs.push_back(std::move(children[j].config));
             }
         }
         if (!steady_configs.empty()) {
             const auto evals = engine.evaluate_batch(steady_configs);
             for (std::size_t i = 0; i < steady_index.size(); ++i) {
-                value_child(children[steady_index[i]], evals[i].rate);
+                auto& c = children[steady_index[i]];
+                c.config = std::move(steady_configs[i]);
+                value_child(c, evals[i].rate);
             }
         }
         stats.generated += children.size();

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <type_traits>
 #include <variant>
@@ -36,22 +37,28 @@ inline vm_id touched_vm(const cluster::action& a) {
         a);
 }
 
-// Hosts whose applications feel the action's transient. Power cycling
+// Hosts whose applications feel the action's transient: at most two, held
+// inline so the search's per-child call allocates nothing. Power cycling
 // affects no running application (Section V-B).
-inline std::vector<host_id> affected_hosts(const cluster::configuration& config,
-                                           const cluster::action& a) {
-    std::vector<host_id> out;
+struct host_set {
+    std::array<host_id, 2> hosts{};
+    std::size_t size = 0;
+};
+
+inline host_set affected_hosts(const cluster::configuration& config,
+                               const cluster::action& a) {
+    host_set out;
     std::visit(
         [&](const auto& x) {
             using T = std::decay_t<decltype(x)>;
             if constexpr (std::is_same_v<T, cluster::migrate>) {
-                out = {config.placement(x.vm)->host, x.to};
+                out = {{config.placement(x.vm)->host, x.to}, 2};
             } else if constexpr (std::is_same_v<T, cluster::add_replica>) {
-                out = {x.to};
+                out = {{x.to}, 1};
             } else if constexpr (std::is_same_v<T, cluster::remove_replica> ||
                                  std::is_same_v<T, cluster::increase_cpu> ||
                                  std::is_same_v<T, cluster::decrease_cpu>) {
-                out = {config.placement(x.vm)->host};
+                out = {{config.placement(x.vm)->host}, 1};
             }
         },
         a);
@@ -95,10 +102,10 @@ inline double transient_rate(const cluster::cluster_model& model,
         seconds rt = ce.response_times[s];
         if (vm.valid() && model.vm(vm).app.index() == s) {
             rt += entry.delta_rt_target;
-        } else if (!touched.empty()) {
+        } else if (touched.size != 0) {
             bool colocated = false;
-            for (const host_id h : touched) {
-                if (occ[s * host_count + h.index()] != 0) {
+            for (std::size_t i = 0; i < touched.size; ++i) {
+                if (occ[s * host_count + touched.hosts[i].index()] != 0) {
                     colocated = true;
                     break;
                 }

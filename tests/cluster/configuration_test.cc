@@ -118,6 +118,33 @@ TEST(Configuration, MissingTierReplicaIsInvalid) {
     EXPECT_NE(why.find("minimum replication"), std::string::npos);
 }
 
+// structurally_valid sums per-host memory on the stack for up to 64 hosts
+// and on the heap beyond; at either size it must catch the one overcommitted
+// host, here the last.
+TEST(Configuration, MemoryOvercommitIsInvalidAtAnyClusterSize) {
+    for (const std::size_t hosts : {4u, 80u}) {
+        std::vector<apps::application_spec> specs;
+        specs.push_back(apps::rubis_browsing("R0"));
+        // 700 MB hosts keep 500 MB after Dom-0: two 200 MB replicas fit.
+        const cluster_model m(uniform_hosts(hosts, 700.0), std::move(specs));
+        const host_id last{static_cast<std::int32_t>(hosts - 1)};
+        const host_id other{static_cast<std::int32_t>(hosts - 2)};
+        configuration c(m.vm_count(), m.host_count());
+        c.set_host_power(last, true);
+        c.set_host_power(other, true);
+        c.deploy(m.tier_vms(app_id{0}, 0)[0], last, 0.2);
+        c.deploy(m.tier_vms(app_id{0}, 1)[0], last, 0.2);
+        c.deploy(m.tier_vms(app_id{0}, 2)[0], other, 0.2);
+        std::string why;
+        EXPECT_TRUE(structurally_valid(m, c, &why)) << hosts << " hosts: " << why;
+        c.deploy(m.tier_vms(app_id{0}, 2)[0], last, 0.2);
+        EXPECT_FALSE(structurally_valid(m, c, &why)) << hosts << " hosts";
+        EXPECT_NE(why.find("memory overcommitted on " + m.hosts()[last.index()].name),
+                  std::string::npos)
+            << why;
+    }
+}
+
 TEST(Configuration, CapOutsideTierWindowIsInvalid) {
     const auto m = make_model();
     auto c = base_config(m);

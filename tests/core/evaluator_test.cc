@@ -2,13 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <limits>
+#include <memory>
 #include <stdexcept>
+#include <string>
 
 #include "apps/rubis.h"
 #include "cluster/action.h"
 #include "cluster/translate.h"
 #include "common/rng.h"
+#include "core/perf_pwr.h"
 #include "core/search.h"
 #include "core/search_meter.h"
 #include "lqn/solver.h"
@@ -60,6 +64,100 @@ whole_solve solve_whole(const cluster::cluster_model& model,
     }
     out.power = cluster::predicted_power(model, c, solved.host_utilization);
     return out;
+}
+
+// The isolated view the Perf-Pwr gradient scores, as one joint lqn::solve
+// over the whole sizing with every replica alone on a synthetic host: the
+// reference the evaluator's per-app table replaces.
+isolated_perf isolated_joint(const cluster::cluster_model& model,
+                             const utility_model& utility,
+                             const lqn::model_options& lqn,
+                             const std::vector<req_per_sec>& rates,
+                             const std::vector<seconds>& targets,
+                             const app_sizing& s) {
+    std::vector<lqn::app_deployment> deps;
+    std::size_t fake_host = 0;
+    for (std::size_t a = 0; a < model.app_count(); ++a) {
+        lqn::app_deployment dep;
+        dep.spec = &model.app(app_id{static_cast<std::int32_t>(a)});
+        dep.rate = rates[a];
+        dep.tiers.resize(dep.spec->tier_count());
+        for (std::size_t t = 0; t < dep.spec->tier_count(); ++t) {
+            for (int r = 0; r < s[a][t].replicas; ++r) {
+                dep.tiers[t].replicas.push_back({fake_host++, s[a][t].cap});
+            }
+        }
+        deps.push_back(std::move(dep));
+    }
+    const auto solved = lqn::solve(deps, fake_host, lqn);
+    isolated_perf out;
+    for (std::size_t a = 0; a < model.app_count(); ++a) {
+        const seconds rt = solved.apps[a].mean_response_time;
+        out.response_times.push_back(rt);
+        out.perf_rate += utility.perf_rate(rates[a], rt, targets[a]);
+        if (rt > targets[a]) out.meets_all_targets = false;
+    }
+    return out;
+}
+
+// An engine that scores sizings through isolated_joint and forwards
+// everything else to a serial_evaluator: the Perf-Pwr optimizer run over it
+// is the optimizer-level oracle.
+class joint_isolated_evaluator final : public utility_evaluator {
+public:
+    joint_isolated_evaluator(const cluster::cluster_model& model,
+                             utility_model utility, lqn::model_options lqn = {})
+        : model_(&model), utility_(utility), lqn_(lqn), inner_(model, utility, lqn) {}
+
+    void begin_decision(const std::vector<req_per_sec>& rates) override {
+        inner_.begin_decision(rates);
+        rates_ = rates;
+    }
+    [[nodiscard]] const std::vector<seconds>& targets() const override {
+        return inner_.targets();
+    }
+    [[nodiscard]] steady_utility evaluate(const cluster::configuration& c) override {
+        return inner_.evaluate(c);
+    }
+    [[nodiscard]] std::vector<steady_utility> evaluate_batch(
+        const std::vector<cluster::configuration>& configs) override {
+        return inner_.evaluate_batch(configs);
+    }
+    [[nodiscard]] isolated_perf evaluate_isolated(const app_sizing& s) override {
+        return isolated_joint(*model_, utility_, lqn_, rates_, inner_.targets(), s);
+    }
+    [[nodiscard]] std::vector<isolated_perf> evaluate_isolated_batch(
+        const std::vector<app_sizing>& sizings) override {
+        std::vector<isolated_perf> out;
+        for (const auto& s : sizings) out.push_back(evaluate_isolated(s));
+        return out;
+    }
+    void parallel_for(std::size_t count,
+                      const std::function<void(std::size_t)>& fn) override {
+        inner_.parallel_for(count, fn);
+    }
+    [[nodiscard]] std::size_t parallelism() const override { return 1; }
+    void reset_memo() override { inner_.reset_memo(); }
+    [[nodiscard]] const evaluation_stats& stats() const override {
+        return inner_.stats();
+    }
+
+private:
+    const cluster::cluster_model* model_;
+    utility_model utility_;
+    lqn::model_options lqn_;
+    std::vector<req_per_sec> rates_;
+    serial_evaluator inner_;
+};
+
+// Four applications of two shapes (three- and two-tier) on eight hosts.
+cluster::cluster_model mixed_model() {
+    std::vector<apps::application_spec> specs;
+    specs.push_back(apps::rubis_browsing("R0"));
+    specs.push_back(apps::two_tier_demo("D1"));
+    specs.push_back(apps::rubis_browsing("R2"));
+    specs.push_back(apps::two_tier_demo("D3"));
+    return cluster::cluster_model(cluster::uniform_hosts(8), std::move(specs));
 }
 
 // ---- rate binding ----------------------------------------------------------
@@ -274,6 +372,245 @@ TEST(EvaluatorOracle, DeltaEvaluationMatchesWholeSolveOnRandomWalks) {
     const auto& st = ev.stats();
     EXPECT_GT(st.app_cache_hits, 0u);  // sub-solve reuse was exercised
     EXPECT_LT(st.app_solves, st.cache_misses * model.app_count());
+}
+
+// ---- the isolated view -------------------------------------------------------
+
+// Each replica of the isolated view sits alone on a synthetic host, so the
+// evaluator solves it one application at a time through a per-decision
+// table keyed on exact bits. Over random sizings — caps on the 1e-3 grid,
+// caps reached from the tier maximum by repeated `cap -= cpu_step` as the
+// gradient reaches them, and one-ulp neighbours of both — with booked caps
+// inflating hosts or not, and across decisions with changed rates, every
+// evaluation bit-matches the joint solve of the whole sizing.
+TEST(EvaluatorOracle, IsolatedViewMatchesJointSolvePerApp) {
+    const auto model = mixed_model();
+    const utility_model utility;
+    const fraction step = model.limits().cpu_step;
+    rng gen(20261018);
+    std::size_t off_grid = 0, ulp_pairs_apart = 0, evaluated = 0;
+
+    auto random_sizing = [&] {
+        app_sizing s(model.app_count());
+        for (std::size_t a = 0; a < model.app_count(); ++a) {
+            for (const auto& tier :
+                 model.app(app_id{static_cast<std::int32_t>(a)}).tiers()) {
+                tier_sizing t;
+                t.replicas = tier.min_replicas +
+                             static_cast<int>(gen.uniform_index(static_cast<std::uint64_t>(
+                                 tier.max_replicas - tier.min_replicas + 1)));
+                if (gen.uniform() < 0.5) {
+                    t.cap = tier.max_cpu_cap;
+                    for (auto k = gen.uniform_index(7);
+                         k > 0 && t.cap - step >= tier.min_cpu_cap - 1e-9; --k) {
+                        t.cap -= step;
+                    }
+                } else {
+                    t.cap = std::round(1000.0 * gen.uniform(tier.min_cpu_cap,
+                                                            tier.max_cpu_cap)) /
+                            1000.0;
+                }
+                off_grid += t.cap != std::round(t.cap * 1000.0) / 1000.0 ? 1 : 0;
+                s[a].push_back(t);
+            }
+        }
+        return s;
+    };
+
+    const std::vector<std::vector<req_per_sec>> levels = {
+        {40.0, 40.0, 40.0, 40.0}, {85.0, 20.0, 60.0, 95.0}, {10.0, 70.0, 35.0, 5.0}};
+    // 0.8 is the default reservable share; at 0.35 the booked caps inflate
+    // every replica capped above it.
+    for (const double reserved : {0.8, 0.35}) {
+        lqn::model_options lqn;
+        lqn.reserved_cap_fraction = reserved;
+        serial_evaluator ev(model, utility, lqn);
+        for (const auto& rates : levels) {
+            ev.begin_decision(rates);
+            auto check = [&](const app_sizing& s) {
+                const auto got = ev.evaluate_isolated(s);
+                const auto want = isolated_joint(model, utility, lqn, rates, ev.targets(), s);
+                ASSERT_EQ(got.response_times, want.response_times);
+                ASSERT_EQ(got.perf_rate, want.perf_rate);
+                ASSERT_EQ(got.meets_all_targets, want.meets_all_targets);
+                ++evaluated;
+            };
+            for (int i = 0; i < 60; ++i) {
+                const auto s = random_sizing();
+                ASSERT_NO_FATAL_FAILURE(check(s));
+                // A one-ulp neighbour: a distinct double, so a distinct key.
+                auto u = s;
+                const auto a = gen.uniform_index(model.app_count());
+                auto& tier = u[a][gen.uniform_index(u[a].size())];
+                tier.cap = std::nextafter(tier.cap, 0.0);
+                ASSERT_NO_FATAL_FAILURE(check(u));
+                const auto sj = isolated_joint(model, utility, lqn, rates, ev.targets(), s);
+                const auto uj = isolated_joint(model, utility, lqn, rates, ev.targets(), u);
+                ulp_pairs_apart += sj.response_times[a] != uj.response_times[a] ? 1 : 0;
+            }
+        }
+    }
+    EXPECT_EQ(evaluated, 2u * 3u * 120u);
+    // Both hazards a coarser key would alias were exercised.
+    EXPECT_GT(off_grid, 0u);
+    EXPECT_GT(ulp_pairs_apart, 0u);
+}
+
+// What the per-app table costs: a decision's first sizing solves every app,
+// a repeat solves none, and a sizing that changes one (app, tier) solves
+// exactly that app. begin_decision starts the table over.
+TEST(EvaluatorOracle, IsolatedViewSolvesOnlyTheChangedApp) {
+    const auto model = mixed_model();
+    serial_evaluator ev(model, utility_model{});
+    app_sizing start(model.app_count());
+    for (std::size_t a = 0; a < model.app_count(); ++a) {
+        for (const auto& tier : model.app(app_id{static_cast<std::int32_t>(a)}).tiers()) {
+            start[a].push_back({tier.max_replicas, tier.max_cpu_cap});
+        }
+    }
+    for (const auto& rates : std::vector<std::vector<req_per_sec>>{
+             {40.0, 40.0, 40.0, 40.0}, {60.0, 25.0, 40.0, 80.0}}) {
+        ev.begin_decision(rates);
+        const auto solves = [&] { return ev.stats().isolated_solves; };
+        const auto before = solves();
+        (void)ev.evaluate_isolated(start);
+        EXPECT_EQ(solves() - before, model.app_count());
+        (void)ev.evaluate_isolated(start);
+        EXPECT_EQ(solves() - before, model.app_count());
+
+        auto cap_step = start;
+        cap_step[2][1].cap -= model.limits().cpu_step;
+        (void)ev.evaluate_isolated(cap_step);
+        EXPECT_EQ(solves() - before, model.app_count() + 1);
+        auto one_ulp = start;
+        one_ulp[1][0].cap = std::nextafter(one_ulp[1][0].cap, 0.0);
+        (void)ev.evaluate_isolated(one_ulp);
+        EXPECT_EQ(solves() - before, model.app_count() + 2);
+        auto fewer = start;
+        fewer[3][1].replicas -= 1;
+        (void)ev.evaluate_isolated_batch({fewer, cap_step, start});
+        EXPECT_EQ(solves() - before, model.app_count() + 3);
+    }
+    // Every sizing is counted, solved or not.
+    EXPECT_EQ(ev.stats().evaluations, 2u * 7u);
+    EXPECT_EQ(ev.stats().app_solves, 0u);  // the steady path's counter
+}
+
+// The optimizer-level oracle: perf_pwr_optimizer over the per-app engine
+// returns, bit for bit, what it returns over an engine that scores every
+// sizing through the joint solve — for both variants, several workloads, and
+// references with and without a failed host.
+TEST(EvaluatorOracle, PerfPwrOptimizerMatchesJointIsolatedSolve) {
+    const auto model = mixed_model();
+    const utility_model utility;
+    const perf_pwr_optimizer seed(model, utility);
+    const auto packed = seed.optimize({50.0, 50.0, 50.0, 50.0});
+    ASSERT_TRUE(packed.feasible);
+    auto failed = packed.ideal;
+    failed.set_host_failed(host_id{0}, true);
+    auto failed_idle = packed.ideal;
+    failed_idle.set_host_failed(host_id{7}, true);
+    const std::vector<const cluster::configuration*> references = {
+        nullptr, &packed.ideal, &failed, &failed_idle};
+
+    std::size_t feasible = 0;
+    for (const auto& rates : std::vector<std::vector<req_per_sec>>{
+             {40.0, 40.0, 40.0, 40.0},
+             {90.0, 15.0, 70.0, 100.0},
+             {5.0, 60.0, 25.0, 10.0}}) {
+        for (const auto* ref : references) {
+            const perf_pwr_optimizer per_app(model, utility, {},
+                                             make_evaluator(model, utility));
+            const perf_pwr_optimizer joint(
+                model, utility, {},
+                std::make_shared<joint_isolated_evaluator>(model, utility));
+            for (const bool targets : {false, true}) {
+                const auto got = targets ? per_app.optimize_meeting_targets(rates, ref)
+                                         : per_app.optimize(rates, ref);
+                const auto want = targets ? joint.optimize_meeting_targets(rates, ref)
+                                          : joint.optimize(rates, ref);
+                ASSERT_EQ(got.feasible, want.feasible);
+                EXPECT_TRUE(got.ideal == want.ideal);
+                EXPECT_EQ(got.utility_rate, want.utility_rate);
+                EXPECT_EQ(got.perf_rate, want.perf_rate);
+                EXPECT_EQ(got.power_rate, want.power_rate);
+                EXPECT_EQ(got.power, want.power);
+                EXPECT_EQ(got.response_times, want.response_times);
+                EXPECT_EQ(got.hosts_used, want.hosts_used);
+                feasible += got.feasible ? 1 : 0;
+            }
+        }
+    }
+    EXPECT_GT(feasible, 0u);
+}
+
+// ---- child candidacy ----------------------------------------------------------
+
+// The search checks each child of a structurally valid parent with
+// is_candidate_child, which re-checks only what the action touched. Along
+// random walks — CPU-overbooked intermediates, dark and fenced hosts, hosts
+// whose memory binds before their VM slots — it agrees with is_candidate
+// on every applicable action.
+TEST(EvaluatorOracle, ChildCandidacyMatchesIsCandidateOnRandomWalks) {
+    // 300 MB database replicas on 900 MB hosts (700 MB after Dom-0): memory
+    // fills before the four VM slots do.
+    auto db_heavy = [](std::string name) {
+        const auto base = apps::rubis_browsing("base");
+        auto tiers = base.tiers();
+        tiers[2].memory_mb = 300.0;
+        return apps::application_spec(std::move(name), std::move(tiers),
+                                      base.transactions(), 0.400);
+    };
+    std::vector<apps::application_spec> specs;
+    specs.push_back(db_heavy("R0"));
+    specs.push_back(apps::two_tier_demo("D1"));
+    specs.push_back(db_heavy("R2"));
+    const cluster::cluster_model model(cluster::uniform_hosts(6, 900.0),
+                                       std::move(specs));
+    cluster::configuration start(model.vm_count(), model.host_count());
+    for (std::int32_t h = 0; h < 4; ++h) start.set_host_power(host_id{h}, true);
+    for (std::size_t a = 0; a < model.app_count(); ++a) {
+        const app_id app{static_cast<std::int32_t>(a)};
+        for (std::size_t t = 0; t < model.app(app).tier_count(); ++t) {
+            start.deploy(model.tier_vms(app, t)[0],
+                         host_id{static_cast<std::int32_t>((a + t) % 4)}, 0.4);
+        }
+    }
+    ASSERT_TRUE(structurally_valid(model, start));
+
+    rng gen(20261019);
+    std::size_t checked = 0, candidates = 0, overbooked_parents = 0, fenced = 0;
+    for (int walk = 0; walk < 6; ++walk) {
+        auto c = start;
+        for (int step = 0; step < 80; ++step) {
+            ASSERT_TRUE(structurally_valid(model, c));
+            overbooked_parents += is_candidate(model, c) ? 0 : 1;
+            fenced += c.any_host_failed() ? 1 : 0;
+            const auto acts = enumerate_actions(model, c);
+            ASSERT_FALSE(acts.empty());
+            for (const auto& a : acts) {
+                const auto child = apply(model, c, a);
+                const bool want = is_candidate(model, child);
+                ASSERT_EQ(is_candidate_child(model, c, child, a), want)
+                    << to_string(model, a) << " walk " << walk << " step " << step;
+                ++checked;
+                candidates += want ? 1 : 0;
+            }
+            const host_id h{static_cast<std::int32_t>(
+                gen.uniform_index(model.host_count()))};
+            if (gen.uniform() < 0.1 && c.vm_count_on(h) == 0) {
+                c.set_host_failed(h, !c.host_failed(h));
+            } else {
+                auto next = apply(model, c, acts[gen.uniform_index(acts.size())]);
+                if (structurally_valid(model, next)) c = std::move(next);
+            }
+        }
+    }
+    EXPECT_GE(checked, 5000u);
+    EXPECT_GT(candidates, 0u);
+    EXPECT_LT(candidates, checked);  // packing rejected some children
+    EXPECT_GT(overbooked_parents, 0u);
+    EXPECT_GT(fenced, 0u);
 }
 
 // The fixture places the two apps on disjoint hosts, so perturbing one app
