@@ -5,17 +5,29 @@
 // idle), (b) the naive A* takes up to ~4× longer than the self-aware search
 // on intensive invocations, and (c) self-awareness improves cumulative
 // utility (paper: 135.3 naive vs. 152.3 self-aware).
+//
+// With --json the binary prints, per strategy, the search energy cost, the
+// mean and max search seconds, the cumulative utility and the action count
+// instead, at the precision the tables print them — the "fig10" section of
+// BENCH_paper.json, which CI compares exactly:
+//
+//   ./build/bench/fig10_search_cost --json | python3 bench/paper_check.py fig10
+#include <cstdio>
 #include <iostream>
+#include <string>
 
 #include "bench_util.h"
 #include "common/time_series.h"
 
 using namespace mistral;
 
-int main() {
-    bench::print_header("Fig. 10 — cost of search",
-                        "search power, duration, and utility: naive vs. "
-                        "self-aware A*");
+int main(int argc, char** argv) {
+    const bool json = argc > 1 && std::string(argv[1]) == "--json";
+    if (!json) {
+        bench::print_header("Fig. 10 — cost of search",
+                            "search power, duration, and utility: naive vs. "
+                            "self-aware A*");
+    }
 
     auto scn = core::make_rubis_scenario({.host_count = 4, .app_count = 2});
     const auto& costs = bench::measured_costs();
@@ -28,6 +40,24 @@ int main() {
     core::mistral_strategy nv(scn.model, costs, naive);
     const auto ra = core::run_scenario(scn, sa);
     const auto rn = core::run_scenario(scn, nv);
+
+    if (json) {
+        auto row = [](const char* search, const core::run_result& r) {
+            return std::string("    {\"search\": \"") + search +
+                   "\", \"search_energy_cost_usd\": " +
+                   table_printer::fmt(r.total_search_cost, 3) +
+                   ", \"mean_search_s\": " +
+                   table_printer::fmt(r.search_duration.mean(), 2) +
+                   ", \"max_search_s\": " +
+                   table_printer::fmt(r.search_duration.max(), 2) +
+                   ", \"cumulative_utility\": " +
+                   table_printer::fmt(r.cumulative_utility, 1) +
+                   ", \"actions\": " + std::to_string(r.total_actions) + "}";
+        };
+        std::printf("{\n  \"strategies\": [\n%s,\n%s\n  ]\n}\n",
+                    row("self-aware", ra).c_str(), row("naive", rn).c_str());
+        return 0;
+    }
 
     // (a) Search power: the meter draws 7.2 W over a 60 W idle host while
     // searching — the paper's "up to 12 %".
