@@ -13,8 +13,9 @@
 //
 //  * --smoke: the CI gate. Runs the 8-host/4-app cell and fails if the
 //    decision utility deviates from the committed golden value or if the
-//    decision pays more LQN sub-solves (kGoldenAppSolves) or more isolated
-//    per-app solves (kGoldenIsolatedSolves) than its deterministic counts;
+//    decision pays more LQN sub-solves (kGoldenAppSolves), more steady
+//    evaluations (kGoldenEvaluations) or more isolated per-app solves
+//    (kGoldenIsolatedSolves) than its deterministic counts;
 //    then the degraded-guard, pod, lookahead and
 //    warm-restart gates — a single-pod coordinator must match the flat
 //    controller bit-for-bit (which transitively pins the single-pod utility
@@ -319,7 +320,11 @@ int run_smoke() {
     // The decision's LQN sub-solves (deterministic). More means the
     // sub-solve cache stopped serving a repeat; fewer is an improvement —
     // lower the bound with it.
-    constexpr std::size_t kGoldenAppSolves = 142;
+    constexpr std::size_t kGoldenAppSolves = 122;
+    // The decision's steady evaluations (deterministic): the popped and
+    // seeded vertices and the candidate children the search keeps. More
+    // means it valued children its pruning drops (1,079 when it did).
+    constexpr std::size_t kGoldenEvaluations = 749;
     // The Perf-Pwr ideal's isolated per-app solves (deterministic): its
     // gradient re-solves only the app each candidate changed. A solve of
     // the whole sizing per candidate would pay app_count per isolated
@@ -339,11 +344,11 @@ int run_smoke() {
     // What a whole-configuration solve per evaluation would pay (DESIGN.md
     // §11), printed for the log.
     const std::size_t whole_solves = es.cache_misses * scn.model.app_count();
-    std::printf("smoke: decision %8.2f ms  lqn_solves=%zu  whole-config "
-                "equivalent=%zu  isolated_solves=%zu  isolated sizings=%zu  "
-                "eu=%.17g\n",
+    std::printf("smoke: decision %8.2f ms  lqn_solves=%zu  evaluations=%zu  "
+                "whole-config equivalent=%zu  isolated_solves=%zu  isolated "
+                "sizings=%zu  eu=%.17g\n",
                 std::chrono::duration<double, std::milli>(t1 - t0).count(),
-                es.app_solves, whole_solves, es.isolated_solves,
+                es.app_solves, es.cache_misses, whole_solves, es.isolated_solves,
                 es.evaluations - es.cache_misses, result.expected_utility);
 
     int failures = 0;
@@ -363,6 +368,9 @@ int run_smoke() {
     }
     if (es.app_solves > kGoldenAppSolves) {
         fail("the decision paid more LQN sub-solves than the golden count");
+    }
+    if (es.cache_misses > kGoldenEvaluations) {
+        fail("the decision paid more steady evaluations than the golden count");
     }
     if (es.isolated_solves > kGoldenIsolatedSolves) {
         fail("the ideal paid more isolated per-app solves than the golden count");

@@ -213,28 +213,37 @@ bool applicable(const cluster_model& model, const configuration& config,
 
 configuration apply(const cluster_model& model, const configuration& config,
                     const action& a) {
+    configuration next;
+    apply_into(model, config, a, next);
+    return next;
+}
+
+void apply_into(const cluster_model& model, const configuration& config,
+                const action& a, configuration& out) {
     std::string why;
     MISTRAL_CHECK_MSG(applicable(model, config, a, &why),
                       "inapplicable action " << to_string(model, a) << ": " << why);
-    configuration next = config;
+    // Each branch reads what it needs from `config` before mutating `out`,
+    // so the two may be one object.
+    if (&out != &config) out = config;
     const auto step = model.limits().cpu_step;
     std::visit(
         [&](const auto& x) {
             using T = std::decay_t<decltype(x)>;
             if constexpr (std::is_same_v<T, increase_cpu>) {
-                next.set_cap(x.vm, config.placement(x.vm)->cpu_cap + step);
+                out.set_cap(x.vm, config.placement(x.vm)->cpu_cap + step);
             } else if constexpr (std::is_same_v<T, decrease_cpu>) {
-                next.set_cap(x.vm, config.placement(x.vm)->cpu_cap - step);
+                out.set_cap(x.vm, config.placement(x.vm)->cpu_cap - step);
             } else if constexpr (std::is_same_v<T, add_replica>) {
-                next.deploy(x.vm, x.to, x.cpu_cap);
+                out.deploy(x.vm, x.to, x.cpu_cap);
             } else if constexpr (std::is_same_v<T, remove_replica>) {
-                next.undeploy(x.vm);
+                out.undeploy(x.vm);
             } else if constexpr (std::is_same_v<T, migrate>) {
-                next.deploy(x.vm, x.to, config.placement(x.vm)->cpu_cap);
+                out.deploy(x.vm, x.to, config.placement(x.vm)->cpu_cap);
             } else if constexpr (std::is_same_v<T, power_on>) {
-                next.set_host_power(x.host, true);
+                out.set_host_power(x.host, true);
             } else {
-                next.set_host_power(x.host, false);
+                out.set_host_power(x.host, false);
             }
         },
         a);
@@ -242,10 +251,9 @@ configuration apply(const cluster_model& model, const configuration& config,
     // Debug-build invariant: the incremental Zobrist hash must equal a full
     // recompute after every edge expansion (the sanitize-labeled randomized
     // hash test exercises the same property in release builds).
-    MISTRAL_CHECK_MSG(next.verify_hash(),
+    MISTRAL_CHECK_MSG(out.verify_hash(),
                       "incremental hash diverged applying " << to_string(model, a));
 #endif
-    return next;
 }
 
 bool is_candidate_child(const cluster_model& model, const configuration& parent,

@@ -86,6 +86,14 @@ bool applicable(const cluster_model& model, const configuration& config,
 [[nodiscard]] configuration apply(const cluster_model& model,
                                   const configuration& config, const action& a);
 
+// apply into a caller-owned configuration: `out` becomes apply(model,
+// config, a), reusing its buffers, so drafting many children into one
+// scratch configuration allocates nothing after the first. `out` may alias
+// `config` (the action is then applied in place). Throws invariant_error
+// when !applicable, leaving `out` untouched.
+void apply_into(const cluster_model& model, const configuration& config,
+                const action& a, configuration& out);
+
 // is_candidate(model, child) for child = apply(model, parent, a), given a
 // structurally valid parent: re-checks only what `a` changed — the touched
 // VM's cap window, the touched hosts' power, slot and memory limits, the

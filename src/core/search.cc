@@ -1,8 +1,10 @@
 #include "core/search.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
+#include <deque>
 #include <limits>
 #include <optional>
 #include <queue>
@@ -33,7 +35,8 @@ search_options inherit_eval_sink(search_options options) {
 }
 
 struct vertex {
-    configuration config;
+    std::size_t hash = 0;        // Zobrist hash of the vertex's configuration
+    int slot = -1;               // its stored configuration; -1 until kept
     int parent = -1;
     std::optional<action> via;   // edge from parent (nullopt for the root)
     dollars accrued = 0.0;       // Σ d(a)·transient-rate along the path
@@ -43,28 +46,70 @@ struct vertex {
     bool terminal = false;       // reached via the "null" edge
 };
 
-// The best-utility table's keys are vertex indices: hashing and equality
-// read the indexed vertex's configuration, and both also accept a
-// configuration directly (heterogeneous lookup), so probing and recording a
-// child never stores a second copy of its configuration.
+// The search graph's vertices and the configurations kept for them. Most
+// recorded vertices are never expanded, so a vertex holds its
+// configuration's hash and the edge that reached it, and its configuration
+// is stored only where the search holds one anyway: the root, each seeded
+// child, each candidate child (the steady evaluation built it) and each
+// vertex popped for expansion, rebuilt from its parent's. A terminal shares
+// its vertex's. Every vertex's parent is stored, since children come only
+// from seeded and expanded vertices.
+struct search_graph {
+    const cluster::cluster_model* model;
+    std::vector<vertex> vertices;
+    // A deque, so the popped vertex's configuration stays put while its
+    // candidate children's are appended.
+    std::deque<configuration> configs;
+    // The two sides of a best_seen comparison, for vertices not stored.
+    std::array<configuration, 2> rebuilt;
+
+    int keep(configuration c) {
+        configs.push_back(std::move(c));
+        return static_cast<int>(configs.size()) - 1;
+    }
+    [[nodiscard]] const configuration& config(std::size_t i) const {
+        const int slot = vertices[i].slot;
+        MISTRAL_CHECK(slot >= 0);
+        return configs[static_cast<std::size_t>(slot)];
+    }
+    void materialize(std::size_t i) {
+        if (vertices[i].slot >= 0) return;
+        const auto& v = vertices[i];
+        vertices[i].slot = keep(
+            cluster::apply(*model, config(static_cast<std::size_t>(v.parent)), *v.via));
+    }
+    // Vertex i's configuration: the stored one, or its parent's plus its
+    // edge, rebuilt into rebuilt[side].
+    [[nodiscard]] const configuration& view(std::size_t i, std::size_t side) {
+        const auto& v = vertices[i];
+        if (v.slot >= 0) return configs[static_cast<std::size_t>(v.slot)];
+        cluster::apply_into(*model, config(static_cast<std::size_t>(v.parent)), *v.via,
+                            rebuilt[side]);
+        return rebuilt[side];
+    }
+    // Removes the last vertex and the configuration it stored, if any.
+    void drop_last() {
+        if (vertices.back().slot >= 0) {
+            MISTRAL_CHECK(static_cast<std::size_t>(vertices.back().slot) + 1 ==
+                          configs.size());
+            configs.pop_back();
+        }
+        vertices.pop_back();
+    }
+};
+
+// The best-utility table's keys are vertex indices: hashing reads the
+// vertex's stored hash, and equality compares the two configurations
+// exactly, rebuilding a side that is not stored.
 struct vertex_config_hash {
-    using is_transparent = void;
-    const std::vector<vertex>* vertices;
-    std::size_t operator()(std::size_t i) const { return (*vertices)[i].config.hash(); }
-    std::size_t operator()(const configuration& c) const { return c.hash(); }
+    const search_graph* graph;
+    std::size_t operator()(std::size_t i) const { return graph->vertices[i].hash; }
 };
 
 struct vertex_config_equal {
-    using is_transparent = void;
-    const std::vector<vertex>* vertices;
+    search_graph* graph;
     bool operator()(std::size_t a, std::size_t b) const {
-        return (*vertices)[a].config == (*vertices)[b].config;
-    }
-    bool operator()(const configuration& c, std::size_t i) const {
-        return c == (*vertices)[i].config;
-    }
-    bool operator()(std::size_t i, const configuration& c) const {
-        return (*vertices)[i].config == c;
+        return a == b || graph->view(a, 0) == graph->view(b, 1);
     }
 };
 
@@ -279,17 +324,23 @@ search_result adaptation_search::find(const configuration& current,
         return true;
     };
 
-    std::vector<vertex> vertices;
+    search_graph graph{&model, {}, {}, {}};
+    auto& vertices = graph.vertices;
     // Max-heap of (utility, vertex index); stale entries skipped on pop.
     using heap_entry = std::pair<double, std::size_t>;
     std::priority_queue<heap_entry> open;
     // Best utility recorded per configuration (non-terminal vertices), keyed
     // by the index of the first vertex recorded with that configuration.
     std::unordered_map<std::size_t, double, vertex_config_hash, vertex_config_equal>
-        best_seen(0, vertex_config_hash{&vertices}, vertex_config_equal{&vertices});
+        best_seen(0, vertex_config_hash{&graph}, vertex_config_equal{&graph});
+
+    // Receives each drafted or ranked child's configuration in turn; only
+    // the children whose vertices keep a configuration are copied out.
+    configuration scratch;
 
     vertex root;
-    root.config = current;
+    root.hash = current.hash();
+    root.slot = graph.keep(current);
     root.utility = ideal_rate;  // average-rate bound: nothing beats the ideal
     vertices.push_back(std::move(root));
     open.push({vertices[0].utility, 0});
@@ -349,25 +400,27 @@ search_result adaptation_search::find(const configuration& current,
     };
 
     // Drafts the child vertex reached by firing `a` from vertex `v` (index
-    // `parent_idx`): everything except the steady-state valuation, which
-    // value_child fills in once the batch evaluation has run. `pe` is the
-    // parent's steady evaluation and `occ` its occupancy.
-    auto draft_child = [&](const vertex& v, std::size_t parent_idx,
-                           const steady_utility& pe,
-                           const std::vector<std::uint8_t>& occ,
-                           const action& a) -> vertex {
+    // `parent_idx`, configuration `vc`) into `out`, which receives the
+    // child's configuration: everything except the steady-state valuation,
+    // which value_child fills in once the batch evaluation has run. `pe` is
+    // the parent's steady evaluation and `occ` its occupancy.
+    auto draft_child = [&](const configuration& vc, const vertex& v,
+                           std::size_t parent_idx, const steady_utility& pe,
+                           const std::vector<std::uint8_t>& occ, const action& a,
+                           configuration& out) -> vertex {
         const auto& entry = cost_of(a);
         vertex c;
         c.via = a;
         c.parent = static_cast<int>(parent_idx);
-        c.config = apply(model, v.config, a);
+        cluster::apply_into(model, vc, a, out);
+        c.hash = out.hash();
         // Transient accrual is clamped at the ideal rate so that time spent
         // mid-adaptation can never appear *better* than the best legal
         // steady state (which would invite lingering in intermediate
         // configurations and break the heuristic's bound).
         const double during = std::min(
-            detail::transient_rate(model, utility_, rates, targets, v.config,
-                                   occ, pe, a, entry),
+            detail::transient_rate(model, utility_, rates, targets, vc, occ, pe,
+                                   a, entry),
             ideal_rate);
         c.accrued = v.accrued + entry.duration * during -
                     options_.per_action_overhead;
@@ -383,16 +436,19 @@ search_result adaptation_search::find(const configuration& current,
     };
 
     // Records a vertex if it improves on anything previously seen for its
-    // configuration; returns its index or -1 when dominated.
+    // configuration; returns its index or -1 when dominated, in which case
+    // the configuration it stored, if any, is dropped with it.
     auto record_vertex = [&](vertex&& vc) -> int {
-        const auto it = best_seen.find(vc.config);
-        if (it != best_seen.end()) {
-            if (vc.utility <= it->second + 1e-12) return -1;
-            it->second = vc.utility;
-        }
         vertices.push_back(std::move(vc));
         const std::size_t idx = vertices.size() - 1;
-        if (it == best_seen.end()) best_seen.emplace(idx, vertices[idx].utility);
+        const auto [it, fresh] = best_seen.try_emplace(idx, vertices[idx].utility);
+        if (!fresh) {
+            if (vertices[idx].utility <= it->second + 1e-12) {
+                graph.drop_last();
+                return -1;
+            }
+            it->second = vertices[idx].utility;
+        }
         open.push({vertices[idx].utility, idx});
         return static_cast<int>(idx);
     };
@@ -440,7 +496,7 @@ search_result adaptation_search::find(const configuration& current,
         const auto& term = vertices[static_cast<std::size_t>(terminal_index)];
         // Vertices carry average rates; report dollars over the window.
         out.expected_utility = term.utility * cw;
-        out.target = term.config;
+        out.target = graph.config(static_cast<std::size_t>(terminal_index));
         // Walk the parent chain; the terminal's own edge is the null action.
         std::vector<action> path;
         for (int i = term.parent; i >= 0; i = vertices[static_cast<std::size_t>(i)].parent) {
@@ -496,24 +552,29 @@ search_result adaptation_search::find(const configuration& current,
         for (const auto& a : plan_transition(model, current, ideal.ideal)) {
             // Valid until record_vertex grows `vertices`; not used after.
             const vertex& v = vertices[at];
+            const configuration& vc = graph.config(at);
             if (++seeded > seed_limit || !menu_allows(a) ||
-                !applicable(model, v.config, a) || !allowed(v.config, a)) {
+                !applicable(model, vc, a) || !allowed(vc, a)) {
                 break;
             }
             const seconds seed_start = profiling ? meter.elapsed() : 0.0;
             meter.on_expansion();
-            vertex c = draft_child(v, at, parent_eval,
-                                   detail::occupancy(model, v.config), a);
+            vertex c = draft_child(vc, v, at, parent_eval,
+                                   detail::occupancy(model, vc), a, scratch);
+            // A seeded child is the next step's parent, so it keeps its
+            // configuration (dropped with it if dominated).
+            c.slot = graph.keep(scratch);
+            const configuration& cc = graph.configs.back();
             // One evaluation per seeded child: its value (candidates only),
             // its terminal and the next step's parent all share it.
-            const bool candidate = is_candidate(model, c.config);
+            const bool candidate = is_candidate(model, cc);
             steady_utility ce;
-            if (candidate) ce = engine.evaluate(c.config);
+            if (candidate) ce = engine.evaluate(cc);
             value_child(c, candidate ? ce.rate : ideal_rate);
             const int idx = record_vertex(std::move(c));
             if (idx < 0) break;
             at = static_cast<std::size_t>(idx);
-            if (!candidate) ce = engine.evaluate(vertices[at].config);
+            if (!candidate) ce = engine.evaluate(graph.config(at));
             add_terminal(at, ce);
             parent_eval = std::move(ce);
             ++stats.generated;
@@ -528,6 +589,12 @@ search_result adaptation_search::find(const configuration& current,
         }
     }
 
+    // Per-expansion buffers, reused by every expansion.
+    std::vector<std::pair<double, std::size_t>> ranked;  // (distance, action)
+    std::vector<std::size_t> drafted;  // actions drafted, in recording order
+    std::vector<vertex> children;
+    std::vector<std::size_t> steady_index;  // children needing a steady eval
+    std::vector<configuration> steady_configs;
     while (!open.empty() && stats.expansions < options_.max_expansions) {
         const auto [u, idx] = open.top();
         open.pop();
@@ -535,9 +602,10 @@ search_result adaptation_search::find(const configuration& current,
             return finish(static_cast<int>(idx));
         }
         {
-            const auto it = best_seen.find(vertices[idx].config);
+            const auto it = best_seen.find(idx);
             if (it != best_seen.end() && u < it->second - 1e-12) continue;  // stale
         }
+        graph.materialize(idx);
 
         ++stats.expansions;
         obs_expansions_.add();
@@ -566,10 +634,13 @@ search_result adaptation_search::find(const configuration& current,
             return finish(best_terminal);
         }
 
+        // The popped vertex's configuration; the store keeps it in place
+        // while the candidate children's are appended below.
+        const configuration& vc = graph.config(idx);
         // Terminal ("null") child from candidate configurations. This one
         // evaluation of the popped vertex also prices its children's
         // transients below.
-        const auto pe = engine.evaluate(vertices[idx].config);
+        const auto pe = engine.evaluate(vc);
         add_terminal(idx, pe);
         // add_terminal may have grown `vertices`; nothing below does until
         // the children are recorded, so `v` holds until then.
@@ -579,81 +650,79 @@ search_result adaptation_search::find(const configuration& current,
         // construction (cost lookup + utility estimation) is where a real
         // controller burns its time and power, so search durations scale
         // with the branching factor, i.e. with cluster size (Table I). One
-        // batched charge covers the whole expansion.
+        // batched charge covers the whole expansion, pruned children too.
         if (static_cast<std::size_t>(v.depth) >= options_.max_plan_actions) continue;
         std::vector<action> acts;
-        for (const auto& a : enumerate_actions(model, v.config, options_.menu)) {
-            if (allowed(v.config, a)) acts.push_back(a);
+        for (const auto& a : enumerate_actions(model, vc, options_.menu)) {
+            if (allowed(vc, a)) acts.push_back(a);
         }
         if (acts.empty()) continue;
         meter.charge(acts.size());
 
-        // Draft the whole expansion's children first (apply + candidacy +
-        // transient accounting + prune distance), then value the candidate
-        // children's steady states as one batch.
-        const auto occ = detail::occupancy(model, v.config);
-        // is_candidate_child re-checks only what each child's action changed,
-        // which needs a structurally valid parent; any other parent's
-        // children get the full check.
-        const bool parent_valid = cluster::structurally_valid(model, v.config);
-        std::vector<vertex> children(acts.size());
-        std::vector<std::uint8_t> child_candidate(acts.size(), 0);
-        std::vector<double> child_distance(acts.size(), 0.0);
-        const bool score_children = prune_mode;
-        engine.parallel_for(acts.size(), [&](std::size_t j) {
-            vertex c = draft_child(v, idx, pe, occ, acts[j]);
-            const bool candidate =
-                parent_valid ? is_candidate_child(model, v.config, c.config, acts[j])
-                             : is_candidate(model, c.config);
-            child_candidate[j] = candidate ? 1 : 0;
-            if (child_candidate[j] == 0) value_child(c, ideal_rate);
-            if (score_children) child_distance[j] = prune_distance(c.config);
-            children[j] = std::move(c);
-        });
-        // The candidate children's configurations visit the batch argument
-        // and come back: moved, never copied.
-        std::vector<std::size_t> steady_index;  // children needing a steady eval
-        std::vector<configuration> steady_configs;
-        for (std::size_t j = 0; j < children.size(); ++j) {
-            if (child_candidate[j] != 0) {
-                steady_index.push_back(j);
-                steady_configs.push_back(std::move(children[j].config));
-            }
-        }
-        if (!steady_configs.empty()) {
-            const auto evals = engine.evaluate_batch(steady_configs);
-            for (std::size_t i = 0; i < steady_index.size(); ++i) {
-                auto& c = children[steady_index[i]];
-                c.config = std::move(steady_configs[i]);
-                value_child(c, evals[i].rate);
-            }
-        }
-        stats.generated += children.size();
-        obs_generated_.add(static_cast<std::int64_t>(children.size()));
-
-        if (prune_mode && !children.empty()) {
+        // The children to draft, in recording order: all of them, or under
+        // pruning the ones closest to the ideal configuration. The distance
+        // reads only the child's configuration, so ranking applies each
+        // action to the scratch configuration and drafts nothing it drops.
+        drafted.clear();
+        if (prune_mode) {
             stats.pruned = true;
-            // Keep the children closest to the ideal configuration.
-            std::vector<std::pair<double, std::size_t>> scored;
-            scored.reserve(children.size());
-            for (std::size_t i = 0; i < children.size(); ++i) {
-                scored.push_back({child_distance[i], i});
+            ranked.clear();
+            for (std::size_t j = 0; j < acts.size(); ++j) {
+                // A kind the cost table lacks throws here, as drafting would.
+                cost_of(acts[j]);
+                cluster::apply_into(model, vc, acts[j], scratch);
+                ranked.push_back({prune_distance(scratch), j});
             }
-            std::sort(scored.begin(), scored.end());
+            std::sort(ranked.begin(), ranked.end());
             const std::size_t keep = std::max<std::size_t>(
                 1, static_cast<std::size_t>(
                        std::ceil(options_.prune_keep_fraction *
-                                 static_cast<double>(children.size()))));
-            std::vector<vertex> kept;
-            kept.reserve(keep);
-            for (std::size_t i = 0; i < keep; ++i) {
-                kept.push_back(std::move(children[scored[i].second]));
-            }
-            children = std::move(kept);
+                                 static_cast<double>(acts.size()))));
+            for (std::size_t i = 0; i < keep; ++i) drafted.push_back(ranked[i].second);
+        } else {
+            for (std::size_t j = 0; j < acts.size(); ++j) drafted.push_back(j);
         }
 
-        for (auto& c : children) {
-            record_vertex(std::move(c));
+        // Draft those children (apply + candidacy + transient accounting),
+        // then value the candidates' steady states as one batch.
+        const auto occ = detail::occupancy(model, vc);
+        // is_candidate_child re-checks only what each child's action changed,
+        // which needs a structurally valid parent; any other parent's
+        // children get the full check.
+        const bool parent_valid = cluster::structurally_valid(model, vc);
+        children.resize(drafted.size());
+        steady_index.clear();
+        steady_configs.clear();
+        engine.parallel_for(drafted.size(), [&](std::size_t k) {
+            const action& a = acts[drafted[k]];
+            vertex c = draft_child(vc, v, idx, pe, occ, a, scratch);
+            const bool candidate = parent_valid
+                                       ? is_candidate_child(model, vc, scratch, a)
+                                       : is_candidate(model, scratch);
+            if (candidate) {
+                // The only configurations copied out of the scratch: the
+                // batch evaluation reads them, and their vertices keep them.
+                steady_index.push_back(k);
+                steady_configs.push_back(scratch);
+            } else {
+                value_child(c, ideal_rate);
+            }
+            children[k] = std::move(c);
+        });
+        if (!steady_configs.empty()) {
+            const auto evals = engine.evaluate_batch(steady_configs);
+            for (std::size_t i = 0; i < steady_index.size(); ++i) {
+                value_child(children[steady_index[i]], evals[i].rate);
+            }
+        }
+        stats.generated += acts.size();
+        obs_generated_.add(static_cast<std::int64_t>(acts.size()));
+
+        for (std::size_t k = 0, i = 0; k < children.size(); ++k) {
+            if (i < steady_index.size() && steady_index[i] == k) {
+                children[k].slot = graph.keep(std::move(steady_configs[i++]));
+            }
+            record_vertex(std::move(children[k]));
         }
     }
     // Expansion budget exhausted: settle for the best terminal found so far.

@@ -17,6 +17,7 @@
 #include "apps/rubis.h"
 #include "cluster/action.h"
 #include "cluster/configuration.h"
+#include "common/check.h"
 #include "common/rng.h"
 
 namespace mistral {
@@ -182,6 +183,68 @@ TEST(ActionRoundTrip, FuzzedSequencesKeepAggregatesExact) {
                                          "walk " + std::to_string(walk));
         }
     }
+}
+
+// apply_into writes apply's result into a caller-owned configuration. Along
+// seeded walks (with fenced hosts), every enumerated action must give the
+// same configuration and hash through apply_into as through apply, whether
+// `out` starts empty, holds a configuration of another cluster shape or the
+// previous action's result, or is the source itself (applied in place).
+// Every action kind must be covered.
+TEST(ApplyInto, MatchesApplyAlongRandomWalks) {
+    const auto model = make_model(8, 3);
+    const auto other = make_model(6, 2);
+    rng r(20261019);
+    std::array<bool, 7> kind_seen{};
+    std::size_t checked = 0;
+    cluster::configuration reused = base_config(other);
+    for (int walk = 0; walk < 4; ++walk) {
+        auto config = base_config(model);
+        // Hosts 6 and 7 host nothing; start them dark.
+        config.set_host_power(host_id{6}, false);
+        config.set_host_power(host_id{7}, false);
+        for (int step = 0; step < 40; ++step) {
+            const host_id h{static_cast<std::int32_t>(r.uniform_index(model.host_count()))};
+            if (r.uniform() < 0.1 && config.vm_count_on(h) == 0) {
+                config.set_host_failed(h, !config.host_failed(h));
+            }
+            const auto actions = enumerate_actions(model, config);
+            ASSERT_FALSE(actions.empty());
+            for (const auto& a : actions) {
+                const auto want = apply(model, config, a);
+                cluster::configuration fresh;
+                apply_into(model, config, a, fresh);
+                apply_into(model, config, a, reused);
+                auto in_place = config;
+                apply_into(model, in_place, a, in_place);
+                for (const auto* got : {&fresh, &reused, &in_place}) {
+                    ASSERT_EQ(*got, want) << to_string(model, a);
+                    ASSERT_EQ(got->hash(), want.hash()) << to_string(model, a);
+                    ASSERT_TRUE(got->verify_hash()) << to_string(model, a);
+                }
+                kind_seen[static_cast<std::size_t>(kind_of(a))] = true;
+                ++checked;
+            }
+            config = apply(model, config, actions[r.uniform_index(actions.size())]);
+        }
+    }
+    EXPECT_GT(checked, 1000u);
+    for (std::size_t k = 0; k < kind_seen.size(); ++k) {
+        EXPECT_TRUE(kind_seen[k]) << to_string(static_cast<cluster::action_kind>(k));
+    }
+}
+
+// An inapplicable action throws as apply does, and `out` keeps what it held.
+TEST(ApplyInto, InapplicableActionThrowsAndLeavesOutUntouched) {
+    const auto model = make_model(4, 2);
+    const auto config = base_config(model);
+    auto out = apply(model, config, cluster::increase_cpu{model.tier_vms(app_id{0}, 0)[0]});
+    const auto before = out;
+    EXPECT_THROW(apply_into(model, config, cluster::power_on{host_id{0}}, out),
+                 invariant_error);
+    EXPECT_THROW(apply(model, config, cluster::power_on{host_id{0}}), invariant_error);
+    EXPECT_EQ(out, before);
+    EXPECT_EQ(out.hash(), before.hash());
 }
 
 // A failed host is fenced: power_on is inapplicable and never enumerated,
