@@ -15,6 +15,8 @@
 #include "core/experiment.h"
 #include "workload/generators.h"
 
+#include "snapshot_golden.h"
+
 namespace mistral::core {
 namespace {
 
@@ -136,6 +138,38 @@ TEST(SnapshotCodec, OutOfRangeAndFractionalIntegersAreRefused) {
     ASSERT_NE(bad.find(needle), std::string::npos);
     bad.replace(bad.find(needle), needle.size(), "\"hosts_failed\":[4294967296]");
     EXPECT_THROW((void)decision_input_from_json(bad), invariant_error);
+}
+
+// Pinned bytes: every checkpointed field, non-default, encodes to the
+// literal in snapshot_golden.h, decodes back to the same state and
+// re-encodes to the same bytes. A dropped, renamed or reordered key fails.
+TEST(SnapshotGolden, EveryCheckpointFieldEncodesToThePinnedBytes) {
+    const snapshot s = golden::full_snapshot();
+    const std::string text = to_json(s);
+    EXPECT_EQ(text, golden::snapshot_json);
+    const snapshot back = snapshot_from_json(golden::snapshot_json);
+    EXPECT_EQ(back.version, s.version);
+    EXPECT_EQ(back.taken_at, s.taken_at);
+    EXPECT_TRUE(back.state == s.state);
+    EXPECT_EQ(to_json(back), golden::snapshot_json);
+}
+
+TEST(SnapshotGolden, EveryDecisionInputChannelEncodesToThePinnedBytes) {
+    const decision_input in = golden::full_decision_input();
+    EXPECT_EQ(to_json(in), golden::decision_input_json);
+    const decision_input back =
+        decision_input_from_json(golden::decision_input_json);
+    EXPECT_EQ(back.now, in.now);
+    EXPECT_EQ(back.rates, in.rates);
+    EXPECT_EQ(back.current, in.current);
+    EXPECT_EQ(back.last_interval_utility, in.last_interval_utility);
+    EXPECT_EQ(back.failed, in.failed);
+    EXPECT_EQ(back.in_flight, in.in_flight);
+    EXPECT_EQ(back.hosts_failed, in.hosts_failed);
+    EXPECT_EQ(back.hosts_recovered, in.hosts_recovered);
+    EXPECT_EQ(back.response_times, in.response_times);
+    EXPECT_EQ(back.samples, in.samples);
+    EXPECT_EQ(to_json(back), golden::decision_input_json);
 }
 
 TEST(Snapshot, LiveCoordinatorStateRoundTripsExactly) {
