@@ -13,7 +13,6 @@
 
 #include "obs/journal.h"
 #include "obs/metrics.h"
-#include "obs/profile.h"
 
 using namespace mistral;
 

@@ -90,15 +90,6 @@ std::vector<cluster::action> first_fit_plan(const cluster::cluster_model& model,
     return plan;
 }
 
-void accumulate(search_stats& into, const search_stats& from) {
-    into.expansions += from.expansions;
-    into.generated += from.generated;
-    into.pruned = into.pruned || from.pruned;
-    into.eval_app_solves += from.eval_app_solves;
-    into.eval_app_cache_hits += from.eval_app_cache_hits;
-    into.eval_app_cache_misses += from.eval_app_cache_misses;
-}
-
 }  // namespace
 
 global_coordinator::global_coordinator(const cluster::cluster_model& model,
@@ -502,7 +493,7 @@ strategy::outcome global_coordinator::decide_two_level(const decision_input& in)
         out.invoked = true;
         out.decision_delay = d2.stats.duration;
         out.decision_power_cost = d2.stats.search_power_cost;
-        accumulate(out.stats, d2.stats);
+        out.stats.merge(d2.stats);
         if (!d2.actions.empty()) {
             // The escalation's reconfiguration preempts pod refinements for
             // this interval (they would race the larger change).
@@ -530,7 +521,7 @@ strategy::outcome global_coordinator::decide_two_level(const decision_input& in)
         out.invoked = true;
         pod_delay = std::max(pod_delay, po.decision.stats.duration);
         out.decision_power_cost += po.decision.stats.search_power_cost;
-        accumulate(out.stats, po.decision.stats);
+        out.stats.merge(po.decision.stats);
         for (const auto& a : po.actions) {
             // Skip defensively if a sibling's change made one inapplicable.
             if (!cluster::applicable(*model_, probe, a)) continue;
@@ -654,7 +645,7 @@ strategy::outcome global_coordinator::decide_sharded(const decision_input& in) {
             out.decision_delay =
                 std::max(out.decision_delay, options_.pod_deadline);
             out.decision_power_cost += po.decision.stats.search_power_cost;
-            accumulate(out.stats, po.decision.stats);
+            out.stats.merge(po.decision.stats);
             enter_quarantine(i, in.now, "deadline");
             apply_failsafe(i, probe, out, in.now, "deadline");
             continue;
@@ -664,7 +655,7 @@ strategy::outcome global_coordinator::decide_sharded(const decision_input& in) {
         // latency is the slowest pod, the power self-cost the sum.
         out.decision_delay = std::max(out.decision_delay, po.decision.stats.duration);
         out.decision_power_cost += po.decision.stats.search_power_cost;
-        accumulate(out.stats, po.decision.stats);
+        out.stats.merge(po.decision.stats);
         for (const auto& a : po.actions) {
             if (!cluster::applicable(*model_, probe, a)) continue;
             probe = cluster::apply(*model_, probe, a);

@@ -26,17 +26,6 @@ search_options continuation_options(const search_options& primary,
     return out;
 }
 
-void merge_stats(search_stats& into, const search_stats& s) {
-    into.duration += s.duration;
-    into.expansions += s.expansions;
-    into.generated += s.generated;
-    into.pruned = into.pruned || s.pruned;
-    into.search_power_cost += s.search_power_cost;
-    into.eval_app_solves += s.eval_app_solves;
-    into.eval_app_cache_hits += s.eval_app_cache_hits;
-    into.eval_app_cache_misses += s.eval_app_cache_misses;
-}
-
 }  // namespace
 
 lookahead_planner::lookahead_planner(const cluster::cluster_model& model,
@@ -180,7 +169,7 @@ lookahead_result lookahead_planner::plan(
         preprov = continuation_.find(current, forecast[peak], cw, 0.0, meter,
                                      now);
         ++out.searches;
-        merge_stats(aggregate, preprov.stats);
+        aggregate.merge(preprov.stats);
     }
     // The committed pre-provision is *augmentative*, never substitutive: the
     // reactive plan — searched under what is actually measured — always
@@ -237,7 +226,7 @@ lookahead_result lookahead_planner::plan(
             disc *= options_.discount;
             auto r = continuation_.find(state, forecast[i], cw, 0.0, meter, now);
             ++out.searches;
-            merge_stats(aggregate, r.stats);
+            aggregate.merge(r.stats);
             const dollars value = r.actions.empty()
                                       ? steady_value(state, forecast[i])
                                       : r.expected_utility;

@@ -16,7 +16,6 @@
 #include "core/planner.h"
 #include "core/transient_rate.h"
 #include "obs/journal.h"
-#include "obs/profile.h"
 
 namespace mistral::core {
 
@@ -196,21 +195,25 @@ search_result adaptation_search::find(const configuration& current,
     stay.target = current;
 
     // Per-decision profile: per-depth expansion/meter-time attribution plus
-    // the budget state at finish. Entirely skipped (one branch per
-    // expansion) when no journaling sink is attached.
+    // the budget state at finish, journaled as one "search" event (DESIGN.md
+    // §10). Entirely skipped (one branch per expansion) when no journaling
+    // sink is attached. Under the model-clock meter the per-depth time is
+    // modeled search cost, so a profile replays bit-identically across hosts.
     const bool profiling = obs::journaling(options_.sink);
-    obs::search_profile prof;
+    std::vector<double> depth_expansions;  // index = depth (actions from root)
+    std::vector<double> depth_meter_time;  // meter seconds charged per depth
     int prof_pending_depth = -1;   // depth whose meter span is still open
     seconds prof_span_start = 0.0;
     auto note_depth = [&](int depth, double expanded, seconds spent) {
         const auto d = static_cast<std::size_t>(depth);
-        if (prof.depth_expansions.size() <= d) {
-            prof.depth_expansions.resize(d + 1, 0.0);
-            prof.depth_meter_time.resize(d + 1, 0.0);
+        if (depth_expansions.size() <= d) {
+            depth_expansions.resize(d + 1, 0.0);
+            depth_meter_time.resize(d + 1, 0.0);
         }
-        prof.depth_expansions[d] += expanded;
-        prof.depth_meter_time[d] += spent;
+        depth_expansions[d] += expanded;
+        depth_meter_time[d] += spent;
     };
+    // Called once, on the way out of find().
     auto emit_profile = [&](const search_result& r) {
         obs_duration_.observe(r.stats.duration);
         if (!profiling) return;
@@ -219,18 +222,21 @@ search_result adaptation_search::find(const configuration& current,
                        meter.elapsed() - prof_span_start);
             prof_pending_depth = -1;
         }
-        prof.control_window = cw;
-        prof.budget = expected_utility;
-        prof.duration = r.stats.duration;
-        prof.power_cost = r.stats.search_power_cost;
-        prof.expansions = static_cast<std::int64_t>(r.stats.expansions);
-        prof.generated = static_cast<std::int64_t>(r.stats.generated);
-        prof.pruned = r.stats.pruned;
-        prof.meter = meter.kind();
-        prof.plan_actions = static_cast<std::int64_t>(r.actions.size());
-        prof.expected_utility = r.expected_utility;
-        prof.ideal_utility = r.ideal_utility;
-        options_.sink->record(prof.to_event(now));
+        obs::event e("search", now);
+        e.num("cw", cw)
+            .num("budget", expected_utility)
+            .num("duration", r.stats.duration)
+            .num("power_cost", r.stats.search_power_cost)
+            .integer("expansions", static_cast<std::int64_t>(r.stats.expansions))
+            .integer("generated", static_cast<std::int64_t>(r.stats.generated))
+            .boolean("pruned", r.stats.pruned)
+            .text("meter", meter.kind())
+            .num_list("depth_expansions", std::move(depth_expansions))
+            .num_list("depth_meter_time", std::move(depth_meter_time))
+            .integer("plan_actions", static_cast<std::int64_t>(r.actions.size()))
+            .num("expected_utility", r.expected_utility)
+            .num("ideal_utility", r.ideal_utility);
+        options_.sink->record(e);
     };
 
     // A degraded configuration (a host crash left a tier under its replica

@@ -102,7 +102,7 @@ struct search_options {
     // like the packing constraint. Infinity = uncapped.
     watts power_cap = std::numeric_limits<watts>::infinity();
     // Observability hook (obs/journal.h): when journaling, every find() emits
-    // one "search" profile event (obs/profile.h) — per-depth expansion counts
+    // one "search" profile event (DESIGN.md §10) — per-depth expansion counts
     // and meter time, budget/pruning state — and the search
     // registers hot-path counters in the sink's metrics registry. nullptr
     // (the default null sink) keeps the search byte-identical to an
@@ -122,6 +122,20 @@ struct search_stats {
     std::size_t eval_app_solves = 0;
     std::size_t eval_app_cache_hits = 0;
     std::size_t eval_app_cache_misses = 0;
+
+    // Folds another search into these totals: every count, time and cost
+    // sums, and pruning is on if it was on in either. The lookahead and the
+    // coordinator merge their several searches per decision through this.
+    void merge(const search_stats& s) {
+        duration += s.duration;
+        expansions += s.expansions;
+        generated += s.generated;
+        pruned = pruned || s.pruned;
+        search_power_cost += s.search_power_cost;
+        eval_app_solves += s.eval_app_solves;
+        eval_app_cache_hits += s.eval_app_cache_hits;
+        eval_app_cache_misses += s.eval_app_cache_misses;
+    }
 };
 
 struct search_result {

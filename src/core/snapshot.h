@@ -30,7 +30,9 @@
 //
 // The snapshot format is versioned (`snapshot_version`); parsing a document
 // whose version differs throws invariant_error rather than misinterpreting
-// fields. Codecs for configuration and action are exposed for tests.
+// fields, as does any malformed document, one nested deeper than 64 levels
+// or a configuration of more than 2^20 VMs or hosts. Codecs for
+// configuration and action are exposed for tests.
 #pragma once
 
 #include <functional>

@@ -95,8 +95,14 @@ public:
     }
 
 private:
+    // Arrays and objects recurse once per level, so their depth is bounded
+    // before the stack is: a run of open brackets must throw, not overflow.
+    // The deepest document the program writes, a checkpoint, nests 8 levels.
+    static constexpr int max_depth = 64;
+
     std::string_view text_;
     std::size_t at_ = 0;
+    int depth_ = 0;
 
     [[noreturn]] void fail(const char* what) const {
         MISTRAL_CHECK_MSG(false, "malformed JSON: " << what << " at offset "
@@ -131,8 +137,13 @@ private:
     value parse_value() {
         skip_ws();
         switch (peek()) {
-            case '{': return parse_object();
-            case '[': return parse_array();
+            case '{':
+            case '[': {
+                if (++depth_ > max_depth) fail("nesting too deep");
+                value v = peek() == '{' ? parse_object() : parse_array();
+                --depth_;
+                return v;
+            }
             case '"': {
                 value v;
                 v.kind_ = value::kind::text;

@@ -13,7 +13,8 @@
 //    objects). Object member order is preserved, which is what makes the
 //    round-trip comparison a plain string equality.
 //
-// No external dependencies; malformed input throws invariant_error.
+// No external dependencies; malformed input throws invariant_error, and so
+// does nesting deeper than 64 arrays and objects.
 #pragma once
 
 #include <cstdint>

@@ -172,6 +172,40 @@ TEST(SnapshotGolden, EveryDecisionInputChannelEncodesToThePinnedBytes) {
     EXPECT_EQ(to_json(back), golden::decision_input_json);
 }
 
+// A run of open brackets throws instead of exhausting the parser's stack.
+TEST(SnapshotCodec, DeepNestingIsRefusedNotACrash) {
+    const std::string deep(100000, '[');
+    EXPECT_THROW((void)snapshot_from_json(deep), invariant_error);
+    EXPECT_THROW((void)decision_input_from_json(deep), invariant_error);
+}
+
+// "vms" and "hosts" are checked before the configuration allocates: at most
+// 2^20 each, the width the Zobrist placement key gives a host index.
+TEST(SnapshotCodec, OversizedConfigurationIsRefusedBeforeAllocating) {
+    const auto config = [](const std::string& vms, const std::string& hosts) {
+        return R"({"vms":)" + vms + R"(,"hosts":)" + hosts +
+               R"(,"on":[],"down":[],"placed":[]})";
+    };
+    EXPECT_THROW((void)configuration_from_json(config("99999999999", "2")),
+                 invariant_error);
+    EXPECT_THROW((void)configuration_from_json(config("20000000", "20000000")),
+                 invariant_error);
+    EXPECT_THROW((void)configuration_from_json(config("2", "1048577")),
+                 invariant_error);
+    EXPECT_THROW((void)configuration_from_json(config("1048577", "2")),
+                 invariant_error);
+    const auto widest = configuration_from_json(config("1048576", "1048576"));
+    EXPECT_EQ(widest.vm_count(), 1048576u);
+    EXPECT_EQ(widest.host_count(), 1048576u);
+
+    // Both checkpoints and decision inputs reach the same decoder.
+    std::string input = std::string(golden::decision_input_json);
+    const std::string needle = R"("vms":4)";
+    ASSERT_NE(input.find(needle), std::string::npos);
+    input.replace(input.find(needle), needle.size(), R"("vms":99999999999)");
+    EXPECT_THROW((void)decision_input_from_json(input), invariant_error);
+}
+
 TEST(Snapshot, LiveCoordinatorStateRoundTripsExactly) {
     const auto model = two_app_model(6);
     const auto costs = cost::cost_table::paper_defaults();

@@ -61,6 +61,19 @@ TEST(JournalReader, RejectsMidFileCorruption) {
     EXPECT_THROW((void)read_journal(in), invariant_error);
 }
 
+// A run of open brackets is a malformed line like any other: counted as
+// torn at the tail, refused mid-file, never a stack overflow.
+TEST(JournalReader, DeeplyNestedLineIsMalformedNotACrash) {
+    const std::string good = "{\"type\":\"interval\",\"t\":100}\n";
+    const std::string deep(100000, '[');
+    std::istringstream tail(good + deep);
+    const journal_contents j = read_journal(tail);
+    EXPECT_EQ(j.torn_lines, 1u);
+    EXPECT_EQ(j.lines.size(), 1u);
+    std::istringstream mid(good + deep + "\n" + good);
+    EXPECT_THROW((void)read_journal(mid), invariant_error);
+}
+
 TEST(JournalReader, EmptyJournalIsEmptyNotTorn) {
     std::istringstream in("");
     const journal_contents j = read_journal(in);

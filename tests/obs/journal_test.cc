@@ -70,6 +70,20 @@ TEST(Json, MalformedInputThrows) {
     EXPECT_THROW(json::value::parse("{} trailing"), invariant_error);
 }
 
+// Each nesting level is one recursive call, so depth is bounded before the
+// stack is: 64 levels parse, the 65th and a 100,000-bracket run throw.
+TEST(Json, NestingDepthIsBounded) {
+    const auto nested = [](std::size_t depth) {
+        return std::string(depth, '[') + std::string(depth, ']');
+    };
+    EXPECT_NO_THROW((void)json::value::parse(nested(64)));
+    EXPECT_THROW((void)json::value::parse(nested(65)), invariant_error);
+    EXPECT_THROW((void)json::value::parse(std::string(100000, '[')),
+                 invariant_error);
+    EXPECT_THROW((void)json::value::parse(std::string(100000, '{')),
+                 invariant_error);
+}
+
 // The tentpole round-trip contract: emit → parse → compare field-for-field,
 // and re-dumping the parsed value reproduces the emitted line byte-for-byte.
 TEST(Journal, EventRoundTripsThroughJsonl) {
