@@ -71,16 +71,23 @@ TEST(Json, MalformedInputThrows) {
 }
 
 // Each nesting level is one recursive call, so depth is bounded before the
-// stack is: 64 levels parse, the 65th and a 100,000-bracket run throw.
+// stack is: 64 levels of arrays or objects parse, the 65th and a
+// 100,000-bracket run throw.
 TEST(Json, NestingDepthIsBounded) {
-    const auto nested = [](std::size_t depth) {
-        return std::string(depth, '[') + std::string(depth, ']');
+    const auto nested = [](std::size_t depth, const std::string& open,
+                           const std::string& close) {
+        std::string s;
+        for (std::size_t i = 0; i < depth; ++i) s += open;
+        s += '1';
+        for (std::size_t i = 0; i < depth; ++i) s += close;
+        return s;
     };
-    EXPECT_NO_THROW((void)json::value::parse(nested(64)));
-    EXPECT_THROW((void)json::value::parse(nested(65)), invariant_error);
-    EXPECT_THROW((void)json::value::parse(std::string(100000, '[')),
+    EXPECT_NO_THROW((void)json::value::parse(nested(64, "[", "]")));
+    EXPECT_THROW((void)json::value::parse(nested(65, "[", "]")), invariant_error);
+    EXPECT_NO_THROW((void)json::value::parse(nested(64, "{\"k\":", "}")));
+    EXPECT_THROW((void)json::value::parse(nested(65, "{\"k\":", "}")),
                  invariant_error);
-    EXPECT_THROW((void)json::value::parse(std::string(100000, '{')),
+    EXPECT_THROW((void)json::value::parse(std::string(100000, '[')),
                  invariant_error);
 }
 
