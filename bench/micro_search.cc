@@ -20,9 +20,11 @@
 //    warm-restart gates — a single-pod coordinator must match the flat
 //    controller bit-for-bit (which transitively pins the single-pod utility
 //    to the golden value above), the 256-host/64-app sharded refinement must
-//    stay under 1 s modeled, and a warm-restarted coordinator (checkpoint +
-//    decision-tail replay) must decide bit-identically to an uninterrupted
-//    one. Perf numbers are printed but never gated (CI hardware varies).
+//    stay under 1 s modeled, the K=3 flash-crowd cell must reproduce its
+//    golden utility bits, invocations, actions and pre-provisions, and a
+//    warm-restarted coordinator (checkpoint + decision-tail replay) must
+//    decide bit-identically to an uninterrupted one. Perf numbers are
+//    printed but never gated (CI hardware varies).
 //
 //  * With any --benchmark* flag: the registered google-benchmark
 //    microbenchmarks run instead (e.g. --benchmark_filter=search).
@@ -508,8 +510,15 @@ int run_smoke() {
     // planner's self-cost (peak + tail searches) is real decision delay, and
     // the screens in lookahead.cc exist to keep it near zero off the crowd.
     // Both numbers are deterministic (model-clock meter), so this gate is
-    // hardware-independent.
+    // hardware-independent. The K=3 cell is also pinned exactly — its
+    // utility bits, invocations, actions and pre-provisions — since the
+    // lookahead's discount, confidence floor, commit margin, rise threshold
+    // and continuation budget reach no other gate but relative ones.
     {
+        constexpr double kGoldenK3Utility = 88.137782106130558;
+        constexpr std::size_t kGoldenK3Invocations = 27;
+        constexpr std::size_t kGoldenK3Actions = 90;
+        constexpr std::size_t kGoldenK3Preprovisions = 1;
         const auto la_scn = bench::lookahead_crowd_scenario();
         const auto reactive = run_lookahead_cell(la_scn, 0);
         const auto k3 = run_lookahead_cell(la_scn, 3);
@@ -518,6 +527,16 @@ int run_smoke() {
             "%zu preprovision)  decision %0.2f s vs %0.2f s mean modeled\n",
             reactive.utility, k3.utility, k3.utility - reactive.utility,
             k3.preprovisions, k3.mean_decision_s, reactive.mean_decision_s);
+        std::printf("smoke: flash crowd K=3  utility %.17g  invocations=%zu  "
+                    "actions=%zu  preprovisions=%zu\n",
+                    k3.utility, k3.invocations, k3.actions, k3.preprovisions);
+        if (k3.utility != kGoldenK3Utility ||
+            k3.invocations != kGoldenK3Invocations ||
+            k3.actions != kGoldenK3Actions ||
+            k3.preprovisions != kGoldenK3Preprovisions) {
+            fail("lookahead K=3 flash-crowd cell deviates from its golden "
+                 "utility, invocations, actions or pre-provisions");
+        }
         if (!(k3.utility >= reactive.utility)) {
             fail("lookahead K=3 lost utility to the reactive controller on "
                  "the flash crowd");
