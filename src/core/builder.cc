@@ -2,11 +2,6 @@
 
 namespace mistral::core {
 
-controller_builder& controller_builder::band(req_per_sec width) {
-    base_.band_width = width;
-    return *this;
-}
-
 controller_builder& controller_builder::self_aware(bool on) {
     base_.search.self_aware = on;
     return *this;
@@ -35,21 +30,6 @@ controller_builder& controller_builder::sink(obs::sink* s) {
 
 controller_builder& controller_builder::econ(econ_profile profile) {
     base_.econ = std::move(profile);
-    return *this;
-}
-
-controller_builder& controller_builder::power_cap(watts cap) {
-    base_.search.power_cap = cap;
-    return *this;
-}
-
-controller_builder& controller_builder::menu(cluster::action_menu m) {
-    base_.search.menu = m;
-    return *this;
-}
-
-controller_builder& controller_builder::meter_step(seconds per_expansion) {
-    meter_step_ = per_expansion;
     return *this;
 }
 
@@ -85,16 +65,6 @@ controller_options controller_builder::build_for(const pod_spec& spec) const {
         it->second(opts);
     }
     return opts;
-}
-
-std::unique_ptr<search_meter> controller_builder::make_meter() const {
-    return std::make_unique<model_clock_meter>(meter_step_);
-}
-
-std::unique_ptr<mistral_controller> controller_builder::build_controller(
-    const cluster::cluster_model& model, cost::cost_table costs) const {
-    return std::make_unique<mistral_controller>(model, std::move(costs), build(),
-                                                make_meter());
 }
 
 }  // namespace mistral::core

@@ -31,14 +31,33 @@ utility_model make_bound_utility(const controller_options& options) {
     return utility;
 }
 
+// Fault reconciliation. At most max_fault_retries consecutive
+// fault-triggered replans; after that the controller waits for the regular
+// band trigger (a persistently failing action must not re-submit forever).
+// The hold-off before the next fault-triggered replan grows geometrically,
+// fault_backoff_base · fault_backoff_factor^(consecutive fault rounds); a base
+// of 0 disables the delay while keeping retries bounded.
+constexpr int max_fault_retries = 3;
+constexpr seconds fault_backoff_base = 0.0;
+constexpr double fault_backoff_factor = 2.0;
+
+// Expansion budget for the greedy single-action rung.
+constexpr std::size_t greedy_max_expansions = 64;
+
+// Deadline for the *whole* lookahead plan (all candidate and continuation
+// searches) as a fraction of CW. Blowing it demotes the ladder one rung to
+// the single-interval controller, not to greedy. It is 4× the single
+// search's default 0.5 watchdog fraction, matching the ≤ 4× modeled-latency
+// budget the bench smoke gate enforces.
+constexpr double lookahead_deadline_fraction = 2.0;
+
 // The greedy rung plans at most one action under a small expansion budget;
 // everything else (menu, scopes, evaluation options) matches the main search.
 search_options greedy_rung_options(const controller_options& options) {
     search_options out = options.search;
     out.max_plan_actions = 1;
     out.seed_beyond_plan_limit = false;  // the one-action bound is the contract
-    out.max_expansions =
-        std::min(out.max_expansions, options.degraded.greedy_max_expansions);
+    out.max_expansions = std::min(out.max_expansions, greedy_max_expansions);
     return out;
 }
 
@@ -71,14 +90,12 @@ control_mode promote_one(control_mode mode, control_mode top) {
 
 mistral_controller::mistral_controller(const cluster::cluster_model& model,
                                        cost::cost_table costs,
-                                       controller_options options,
-                                       std::unique_ptr<search_meter> meter)
+                                       controller_options options)
     : model_(&model),
       options_(inherit_search_sink(std::move(options))),
       utility_(make_bound_utility(options_)),
       costs_(std::move(costs)),
       search_(model, utility_, costs_, options_.search),
-      meter_(meter ? std::move(meter) : std::make_unique<model_clock_meter>()),
       monitor_(model.app_count(), options_.band_width),
       validator_(model.app_count(), options_.degraded.validator),
       greedy_search_(model, utility_, costs_, greedy_rung_options(options_),
@@ -87,12 +104,8 @@ mistral_controller::mistral_controller(const cluster::cluster_model& model,
     MISTRAL_CHECK(options_.max_control_window >= options_.min_control_window);
     MISTRAL_CHECK(options_.band_width >= 0.0);
     MISTRAL_CHECK(options_.utility_history >= 1);
-    MISTRAL_CHECK(options_.reconcile.max_retries >= 0);
-    MISTRAL_CHECK(options_.reconcile.base_backoff >= 0.0);
-    MISTRAL_CHECK(options_.reconcile.backoff_factor >= 1.0);
     MISTRAL_CHECK(options_.degraded.promote_after >= 1);
     MISTRAL_CHECK(options_.degraded.search_deadline_fraction > 0.0);
-    MISTRAL_CHECK(options_.degraded.greedy_max_expansions >= 1);
     predictors_.reserve(model.app_count());
     for (std::size_t a = 0; a < model.app_count(); ++a) {
         predict::arma_options arma = options_.arma;
@@ -100,15 +113,16 @@ mistral_controller::mistral_controller(const cluster::cluster_model& model,
     }
     prev_trusted_.assign(model.app_count(), true);
     if (options_.lookahead.enabled) {
+        MISTRAL_CHECK(options_.lookahead.horizon >= 1);
         // The planner's interval-1 searches go through this controller's own
         // search_ (same object, same shared caches), which is what makes the
         // horizon = 1 decision trace bit-identical to the flat controller.
-        lookahead_ = std::make_unique<lookahead_planner>(
-            model, utility_, costs_, search_, options_.lookahead);
-        rate_forecasters_.reserve(model.app_count());
-        for (std::size_t a = 0; a < model.app_count(); ++a) {
-            rate_forecasters_.emplace_back(options_.lookahead.rate_arma);
-        }
+        lookahead_ =
+            std::make_unique<lookahead_planner>(model, utility_, costs_, search_);
+        // Per-application rate forecasters: a unit-agnostic reuse of the
+        // adaptive ARMA filter at its defaults, whose divergence guard is the
+        // lookahead-specific alarm that demotes lookahead → full.
+        rate_forecasters_.resize(model.app_count());
         prev_forecaster_trusted_.assign(model.app_count(), true);
         mode_ = control_mode::lookahead;
     }
@@ -438,7 +452,6 @@ controller_decision mistral_controller::step(const decision_input& in) {
         }
     }
 
-    const auto& rec = options_.reconcile;
     account_faults(in, rates);
     const bool fault_signal = !in.failed.empty() || !in.hosts_failed.empty() ||
                               !in.hosts_recovered.empty();
@@ -454,12 +467,11 @@ controller_decision mistral_controller::step(const decision_input& in) {
         return decision;
     }
 
-    // The base the optimizer plans from. plan_against_actual=false is the
-    // harness's documented controller mutation: plan from what the last
-    // decision intended instead of what the executor reports.
-    const cluster::configuration& base =
-        (rec.plan_against_actual || !intended_) ? in.current : *intended_;
-    if (intended_ && !(*intended_ == in.current)) {
+    // The optimizer plans from what the executor reports, never from what
+    // the last decision intended: an aborted or partial plan leaves the two
+    // apart, and the gap is journaled as drift.
+    const cluster::configuration& base = in.current;
+    if (intended_ && !(*intended_ == base)) {
         ++rstats_.drift_intervals;
         drift = true;
     }
@@ -467,7 +479,7 @@ controller_decision mistral_controller::step(const decision_input& in) {
     // Repair first: a crash that pushed a tier below its replica minimum
     // leaves a configuration the steady-state predictors cannot even
     // evaluate; restore structural validity before optimizing.
-    if (rec.enabled && !cluster::structurally_valid(*model_, base)) {
+    if (!cluster::structurally_valid(*model_, base)) {
         auto repair = plan_repair(*model_, base);
         if (!repair.empty()) {
             first_step_ = false;
@@ -524,16 +536,16 @@ controller_decision mistral_controller::step(const decision_input& in) {
     decision.mode = mode_;
 
     // A fault signal forces a replan even inside the workload band, bounded
-    // by max_retries consecutive rounds with geometric backoff between them.
-    // On the hold rung fault replans are suppressed too: replanning is
+    // by max_fault_retries consecutive rounds with geometric backoff between
+    // them. On the hold rung fault replans are suppressed too: replanning is
     // exactly the adaptation an untrusted predictor cannot justify (the
     // structural-repair path above already handled safety).
     bool force = false;
-    if (rec.enabled && mode_ != control_mode::hold && fault_signal &&
-        now + 1e-9 >= backoff_until_ && fault_rounds_ < rec.max_retries) {
+    if (mode_ != control_mode::hold && fault_signal &&
+        now + 1e-9 >= backoff_until_ && fault_rounds_ < max_fault_retries) {
         force = true;
         backoff_until_ =
-            now + rec.base_backoff * std::pow(rec.backoff_factor, fault_rounds_);
+            now + fault_backoff_base * std::pow(fault_backoff_factor, fault_rounds_);
         ++fault_rounds_;
         ++rstats_.fault_replans;
         obs_fault_replans_.add();
@@ -591,8 +603,7 @@ controller_decision mistral_controller::step(const decision_input& in) {
             std::vector<std::vector<predict::forecast_band>> bands;
             bands.reserve(rate_forecasters_.size());
             for (const auto& f : rate_forecasters_) {
-                bands.push_back(
-                    f.forecast_horizon(k, options_.lookahead.horizon_model));
+                bands.push_back(f.forecast_horizon(k));
             }
             forecast.reserve(static_cast<std::size_t>(k) - 1);
             confidence.reserve(static_cast<std::size_t>(k) - 1);
@@ -610,7 +621,7 @@ controller_decision mistral_controller::step(const decision_input& in) {
             }
         }
         auto la = lookahead_->plan(base, rates, forecast, confidence, cw, uh,
-                                   *meter_, now);
+                                   meter_, now);
         ++lstats_.lookahead_decisions;
         obs_lookahead_decisions_.add();
         if (la.preprovisioned) {
@@ -629,7 +640,7 @@ controller_decision mistral_controller::step(const decision_input& in) {
             if (tripped && !deadline_tripped_) ++dstats_.deadline_trips;
             deadline_tripped_ = tripped;
             const bool la_tripped =
-                la.total_duration > options_.lookahead.deadline_fraction * cw;
+                la.total_duration > lookahead_deadline_fraction * cw;
             if (la_tripped && !lookahead_deadline_tripped_) {
                 ++lstats_.deadline_demotions;
             }
@@ -655,7 +666,7 @@ controller_decision mistral_controller::step(const decision_input& in) {
         result = std::move(la.committed);
     } else {
         result = (greedy ? greedy_search_ : search_).find(base, rates, cw, uh,
-                                                          *meter_, now);
+                                                          meter_, now);
         if (greedy) ++dstats_.greedy_decisions;
 
         // Deadline watchdog feeding the next step's rung selection.

@@ -31,26 +31,6 @@
 
 namespace mistral::core {
 
-// Self-healing under fault injection: how the controller reconciles what it
-// intended with what the testbed reports actually happened.
-struct reconcile_options {
-    bool enabled = true;
-    // At most this many consecutive fault-triggered replans; after that the
-    // controller waits for the regular band trigger (a persistently failing
-    // action must not re-submit forever).
-    int max_retries = 3;
-    // Hold-off before the next fault-triggered replan grows geometrically:
-    // base_backoff · backoff_factor^(consecutive fault rounds). The default
-    // base of 0 disables the delay while keeping retries bounded.
-    seconds base_backoff = 0.0;
-    double backoff_factor = 2.0;
-    // Plan from the *actual* observed configuration. Setting this to false
-    // is a deliberate controller mutation for the invariant harness: the
-    // controller then plans from the configuration it last intended, and the
-    // randomized fault tests must catch the illegal actions that follow.
-    bool plan_against_actual = true;
-};
-
 // The fallback decision ladder's rungs, ordered by decreasing capability.
 // Demotion is immediate; promotion climbs one rung at a time after a run of
 // clean steps (hysteresis), so a flapping sensor cannot make the controller
@@ -89,8 +69,6 @@ struct degraded_options {
     // only trip when a meter reports genuine overrun (or the search is
     // configured non-self-aware on a large cluster).
     double search_deadline_fraction = 0.5;
-    // Expansion budget for the greedy single-action rung.
-    std::size_t greedy_max_expansions = 64;
 };
 
 struct controller_options {
@@ -115,7 +93,6 @@ struct controller_options {
     seconds max_control_window = 6.0 * default_monitoring_interval;
     // How many recent interval utilities feed the pessimistic UH estimate.
     int utility_history = 5;
-    reconcile_options reconcile{};
     degraded_options degraded{};
     // Receding-horizon lookahead planning (core/lookahead.h). Disabled by
     // default: the flat single-interval controller is bit-identical with this
@@ -248,10 +225,8 @@ struct controller_state {
 
 class mistral_controller {
 public:
-    // `meter` defaults to a deterministic model-clock meter.
     mistral_controller(const cluster::cluster_model& model, cost::cost_table costs,
-                       controller_options options = {},
-                       std::unique_ptr<search_meter> meter = nullptr);
+                       controller_options options = {});
     // Pinned in place: the lookahead planner (and the greedy rung's shared
     // evaluator) hold pointers into this object's own members.
     mistral_controller(const mistral_controller&) = delete;
@@ -303,7 +278,7 @@ private:
     utility_model utility_;
     cost::cost_table costs_;  // kept for the wasted-transient ledger
     adaptation_search search_;
-    std::unique_ptr<search_meter> meter_;
+    model_clock_meter meter_;
     wl::workload_monitor monitor_;
     wl::telemetry_validator validator_;
     // The greedy rung: max one action under a small expansion budget, sharing

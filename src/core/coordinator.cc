@@ -14,6 +14,10 @@ namespace mistral::core {
 
 namespace {
 
+// Demand blend for budget redistribution: demand = draw + grow_margin ·
+// min(pressure, 1) · (max_draw − draw). Pressured pods ask for headroom.
+constexpr double grow_margin = 0.5;
+
 // Whole-cluster headroom report (the escalation controller's event row).
 pod_report cluster_report(const cluster::cluster_model& model,
                           const cluster::configuration& config) {
@@ -104,7 +108,6 @@ global_coordinator::global_coordinator(const cluster::cluster_model& model,
       sharded_(true),
       specs_(parts.pods()) {
     MISTRAL_CHECK(options_.power_budget > 0.0);
-    MISTRAL_CHECK(options_.grow_margin >= 0.0);
     MISTRAL_CHECK(options_.max_brokered_moves >= 0);
     MISTRAL_CHECK(options_.pod_deadline > 0.0);
     MISTRAL_CHECK(options_.readmit_after >= 1);
@@ -172,8 +175,7 @@ global_coordinator::global_coordinator(const cluster::cluster_model& model,
     }
     controller_options esc = builder_.build();
     esc.band_width = options_.escalation_band;
-    escalation_ = std::make_unique<mistral_controller>(model, costs_, esc,
-                                                       builder_.make_meter());
+    escalation_ = std::make_unique<mistral_controller>(model, costs_, esc);
     sink_ = esc.sink;
     if (auto* reg = obs::metrics_of(sink_)) {
         obs_escalations_ = reg->register_counter(
@@ -315,7 +317,7 @@ void global_coordinator::reconcile_ownership(
 }
 
 std::vector<watts> global_coordinator::redistribute(
-    watts total, double grow_margin, const std::vector<pod_report>& reports,
+    watts total, const std::vector<pod_report>& reports,
     const std::vector<double>* growth_weight) {
     MISTRAL_CHECK(total > 0.0 && std::isfinite(total));
     const std::size_t n = reports.size();
@@ -399,7 +401,7 @@ void global_coordinator::redistribute_budgets(const decision_input& in,
         }
         weight_ptr = &weight;
     }
-    budgets_ = redistribute(total, options_.grow_margin, reports, weight_ptr);
+    budgets_ = redistribute(total, reports, weight_ptr);
     // A zero share (an all-idle pod under a tight budget) still needs a
     // positive cap for the terminal gate; one milliwatt forbids any
     // powered-on host just as effectively. The milliwatt is *borrowed* from

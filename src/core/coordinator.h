@@ -73,9 +73,6 @@ struct coordinator_options {
     // Cluster-wide power budget (watts). Infinity disables the budget broker
     // entirely: no reports, no events, no terminal gating.
     watts power_budget = std::numeric_limits<watts>::infinity();
-    // Demand blend for redistribution: demand = draw + grow_margin ·
-    // min(pressure, 1) · (max_draw − draw). Pressured pods ask for headroom.
-    double grow_margin = 0.5;
     // Migration broker watermarks (sharded mode, ≥ 2 pods).
     bool migration_broker = true;
     double donor_pressure = 0.85;   // propose eviction above this
@@ -219,13 +216,14 @@ public:
     void import_state(const coordinator_state& s, seconds now);
 
     // Demand-proportional integer-milliwatt split of `total` across the
-    // reports; the shares sum to `total` exactly (largest-remainder
-    // rounding, ties to the lower index). Exposed for the conservation test.
+    // reports, where a pod's demand is its draw plus half its growth headroom
+    // scaled by min(pressure, 1); the shares sum to `total` exactly
+    // (largest-remainder rounding, ties to the lower index). Exposed for the conservation test.
     // `growth_weight` (optional, one entry per report, ≥ 0) scales each
     // pod's growth-headroom term only — the regional cheapest/price bias;
     // nullptr is the unweighted original.
     static std::vector<watts> redistribute(
-        watts total, double grow_margin, const std::vector<pod_report>& reports,
+        watts total, const std::vector<pod_report>& reports,
         const std::vector<double>* growth_weight = nullptr);
 
 private:

@@ -16,13 +16,35 @@ namespace {
 using cluster::action;
 using cluster::configuration;
 
+// Geometric per-interval discount on future utility (interval i ≥ 2
+// contributes discount^(i−1) · confidence · value).
+constexpr double discount = 0.9;
+// Forecast-confidence floor: however wide the bands get, a future interval
+// still counts at least this fraction of its discounted value.
+constexpr double confidence_floor = 0.2;
+// Expansion budget for each bounded-depth continuation search. Bounded, but
+// generous enough for a full flash-crowd adaptation: a starved budget would
+// cripple the *reactive* candidate's tail (which must adapt at the forecast
+// peak) while the pre-provisioned tail needs almost none, silently biasing
+// every comparison toward pre-provisioning.
+constexpr std::size_t continuation_max_expansions = 1024;
+// Relative margin the pre-provision total must clear over the reactive total
+// before committing (fraction of max(|reactive total|, 1)). Forecast centers
+// wobble window to window; committing on hairline margins churns real
+// migrations for predicted pennies.
+constexpr double commit_margin = 0.1;
+// Minimum relative rise of the forecast-peak demand over today's demand
+// before the pre-provision candidate is even searched. Below it the planner
+// trusts the reactive rung (small drifts are what the band trigger absorbs)
+// and spends no modeled search time on tails — the planner's self-cost, like
+// the search's, is part of the decision.
+constexpr double rise_threshold = 0.05;
+
 // Continuation searches reuse the primary A*'s expansion under a small
 // budget; everything else (menu, scopes, pruning, evaluation options) matches.
-search_options continuation_options(const search_options& primary,
-                                    const lookahead_options& la) {
+search_options continuation_options(const search_options& primary) {
     search_options out = primary;
-    out.max_expansions =
-        std::min(out.max_expansions, la.continuation_max_expansions);
+    out.max_expansions = std::min(out.max_expansions, continuation_max_expansions);
     return out;
 }
 
@@ -31,24 +53,13 @@ search_options continuation_options(const search_options& primary,
 lookahead_planner::lookahead_planner(const cluster::cluster_model& model,
                                      utility_model utility,
                                      const cost::cost_table& costs,
-                                     const adaptation_search& primary,
-                                     lookahead_options options)
+                                     const adaptation_search& primary)
     : model_(&model),
       utility_(utility),
       costs_(&costs),
       primary_(&primary),
-      options_(std::move(options)),
-      continuation_(model, utility, costs,
-                    continuation_options(primary.options(), options_),
-                    primary.shared_evaluator()) {
-    MISTRAL_CHECK(options_.horizon >= 1);
-    MISTRAL_CHECK(options_.discount > 0.0 && options_.discount <= 1.0);
-    MISTRAL_CHECK(options_.confidence_floor > 0.0 &&
-                  options_.confidence_floor <= 1.0);
-    MISTRAL_CHECK(options_.continuation_max_expansions >= 1);
-    MISTRAL_CHECK(options_.commit_margin >= 0.0);
-    MISTRAL_CHECK(options_.deadline_fraction > 0.0);
-}
+      continuation_(model, utility, costs, continuation_options(primary.options()),
+                    primary.shared_evaluator()) {}
 
 dollars lookahead_planner::score_plan(const configuration& current,
                                       const std::vector<action>& plan,
@@ -68,8 +79,7 @@ dollars lookahead_planner::score_plan(const configuration& current,
         const double rate = detail::transient_rate(
             *model_, utility_, rates, targets, c, detail::occupancy(*model_, c),
             engine.evaluate(c), a, entry);
-        accrued += entry.duration * std::min(rate, cap_rate) -
-                   primary_->options().per_action_overhead;
+        accrued += entry.duration * std::min(rate, cap_rate) - per_action_overhead;
         duration += entry.duration;
         c = cluster::apply(*model_, c, a);
     }
@@ -83,7 +93,7 @@ lookahead_result lookahead_planner::plan(
     const configuration& current, const std::vector<req_per_sec>& rates,
     const std::vector<std::vector<req_per_sec>>& forecast,
     const std::vector<double>& confidence, seconds cw,
-    dollars expected_utility, search_meter& meter, seconds now) const {
+    dollars expected_utility, model_clock_meter& meter, seconds now) const {
     MISTRAL_CHECK(forecast.size() == confidence.size());
     lookahead_result out;
     out.horizon = 1 + static_cast<int>(forecast.size());
@@ -141,7 +151,7 @@ lookahead_result lookahead_planner::plan(
     double current_demand = 0.0;
     for (const double r : rates) current_demand += r;
     bool rising =
-        peak_demand > current_demand * (1.0 + options_.rise_threshold);
+        peak_demand > current_demand * (1.0 + rise_threshold);
 
     // Screen before spending a search: pre-provisioning can only ever boot a
     // host today's plan leaves dark, so with every healthy host already
@@ -223,7 +233,7 @@ lookahead_result lookahead_planner::plan(
         configuration state = target;
         double disc = 1.0;
         for (std::size_t i = 0; i < forecast.size(); ++i) {
-            disc *= options_.discount;
+            disc *= discount;
             auto r = continuation_.find(state, forecast[i], cw, 0.0, meter, now);
             ++out.searches;
             aggregate.merge(r.stats);
@@ -231,7 +241,7 @@ lookahead_result lookahead_planner::plan(
                                       ? steady_value(state, forecast[i])
                                       : r.expected_utility;
             const double conf =
-                std::clamp(confidence[i], options_.confidence_floor, 1.0);
+                std::clamp(confidence[i], confidence_floor, 1.0);
             contrib.push_back(disc * conf * value);
             state = std::move(r.target);
         }
@@ -251,9 +261,9 @@ lookahead_result lookahead_planner::plan(
         tail_reactive.reserve(forecast.size());
         double disc = 1.0;
         for (std::size_t i = 0; i < forecast.size(); ++i) {
-            disc *= options_.discount;
+            disc *= discount;
             const double conf =
-                std::clamp(confidence[i], options_.confidence_floor, 1.0);
+                std::clamp(confidence[i], confidence_floor, 1.0);
             tail_reactive.push_back(
                 disc * conf * steady_value(reactive.target, forecast[i]));
         }
@@ -275,7 +285,7 @@ lookahead_result lookahead_planner::plan(
     // K-interval total — a horizon-proportional hurdle would make the same
     // boot look less attractive the further ahead the planner can see.
     const dollars margin =
-        options_.commit_margin * std::max(std::abs(v1_reactive), 1.0);
+        commit_margin * std::max(std::abs(v1_reactive), 1.0);
     const bool take_preprov =
         contested && total_preprov > total_reactive + margin;
     const std::vector<dollars>& tail = take_preprov ? tail_preprov : tail_reactive;

@@ -41,7 +41,6 @@
 #include "core/search.h"
 #include "core/search_meter.h"
 #include "cost/table.h"
-#include "predict/arma.h"
 
 namespace mistral::core {
 
@@ -50,40 +49,6 @@ struct lookahead_options {
     // Planning horizon K in control windows. 1 plans exactly like the
     // single-interval controller (the differential anchor).
     int horizon = 3;
-    // Geometric per-interval discount on future utility (interval i ≥ 2
-    // contributes discount^(i−1) · confidence · value).
-    double discount = 0.9;
-    // Forecast-confidence floor: however wide the bands get, a future
-    // interval still counts at least this fraction of its discounted value.
-    double confidence_floor = 0.2;
-    // Expansion budget for each bounded-depth continuation search. Bounded,
-    // but generous enough for a full flash-crowd adaptation: a starved budget
-    // would cripple the *reactive* candidate's tail (which must adapt at the
-    // forecast peak) while the pre-provisioned tail needs almost none,
-    // silently biasing every comparison toward pre-provisioning.
-    std::size_t continuation_max_expansions = 1024;
-    // Relative margin the pre-provision total must clear over the reactive
-    // total before committing (fraction of max(|reactive total|, 1)). Forecast
-    // centers wobble window to window; committing on hairline margins churns
-    // real migrations for predicted pennies.
-    double commit_margin = 0.1;
-    // Minimum relative rise of the forecast-peak demand over today's demand
-    // before the pre-provision candidate is even searched. Below it the
-    // planner trusts the reactive rung (small drifts are what the band
-    // trigger absorbs) and spends no modeled search time on tails — the
-    // planner's self-cost, like the search's, is part of the decision.
-    double rise_threshold = 0.05;
-    // Deadline for the *whole* lookahead plan (all candidate + continuation
-    // searches) as a fraction of CW. Blowing it demotes the ladder one rung
-    // to the single-interval controller — today's behavior — not to greedy.
-    // The default is 4× the single search's 0.5 watchdog fraction, matching
-    // the ≤ 4× modeled-latency budget the bench smoke gate enforces.
-    double deadline_fraction = 2.0;
-    // Per-application rate forecaster (a unit-agnostic reuse of the adaptive
-    // ARMA filter; its divergence guard is the lookahead-specific alarm that
-    // demotes lookahead → full).
-    predict::arma_options rate_arma{};
-    predict::horizon_options horizon_model{};
 };
 
 // One future interval of the chosen sequence, for the journal.
@@ -119,7 +84,7 @@ public:
     // budget, sharing the primary's evaluation engine.
     lookahead_planner(const cluster::cluster_model& model, utility_model utility,
                       const cost::cost_table& costs,
-                      const adaptation_search& primary, lookahead_options options);
+                      const adaptation_search& primary);
 
     // Plans from `current` under measured `rates`. `forecast[i]` carries the
     // per-app forecast centers for interval i + 2 and `confidence[i]` its
@@ -130,11 +95,9 @@ public:
         const std::vector<req_per_sec>& rates,
         const std::vector<std::vector<req_per_sec>>& forecast,
         const std::vector<double>& confidence, seconds cw,
-        dollars expected_utility, search_meter& meter, seconds now) const;
+        dollars expected_utility, model_clock_meter& meter, seconds now) const;
 
     void set_power_cap(watts cap) { continuation_.set_power_cap(cap); }
-
-    [[nodiscard]] const lookahead_options& options() const { return options_; }
 
 private:
     // Interval-1 dollars of executing `plan` from `current` under the
@@ -152,7 +115,6 @@ private:
     utility_model utility_;
     const cost::cost_table* costs_;
     const adaptation_search* primary_;
-    lookahead_options options_;
     adaptation_search continuation_;  // bounded-depth tail search, shared engine
 };
 

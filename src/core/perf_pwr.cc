@@ -14,6 +14,9 @@ namespace {
 
 using sizing = app_sizing;  // per-(app, tier) replicas + uniform cap
 
+// Gradient steps one optimize() may take across all host counts.
+constexpr int max_gradient_iterations = 400;
+
 // Total CPU allocation of a sizing (the ρ in the gradient).
 double total_allocation(const sizing& s) {
     double sum = 0.0;
@@ -160,8 +163,6 @@ perf_pwr_optimizer::perf_pwr_optimizer(const cluster::cluster_model& model,
       utility_(utility),
       options_(options),
       evaluator_(std::move(evaluator)) {
-    if (options_.cap_step <= 0.0) options_.cap_step = model.limits().cpu_step;
-    MISTRAL_CHECK(options_.max_gradient_iterations >= 1);
     if (!evaluator_) {
         evaluator_ = make_evaluator(model, utility_, options_.lqn);
     }
@@ -211,7 +212,9 @@ perf_pwr_result perf_pwr_optimizer::run(const std::vector<req_per_sec>& rates,
     perf_pwr_result best;
     best.utility_rate = -std::numeric_limits<double>::infinity();
 
-    int iterations_left = options_.max_gradient_iterations;
+    // The gradient's capacity-reduction granularity is the model's CPU step.
+    const fraction cap_step = limits.cpu_step;
+    int iterations_left = max_gradient_iterations;
     for (std::size_t hosts = model.host_count(); hosts + 1 > min_hosts; --hosts) {
         // Shrink the sizing until it packs on `hosts` hosts (or give up).
         std::optional<cluster::configuration> packed;
@@ -230,9 +233,9 @@ perf_pwr_result perf_pwr_optimizer::run(const std::vector<req_per_sec>& rates,
                 const auto& app = model.app(app_id{static_cast<std::int32_t>(a)});
                 for (std::size_t t = 0; t < app.tier_count(); ++t) {
                     const auto& tier = app.tiers()[t];
-                    if (s[a][t].cap - options_.cap_step >= tier.min_cpu_cap - 1e-9) {
+                    if (s[a][t].cap - cap_step >= tier.min_cpu_cap - 1e-9) {
                         sizing c = s;
-                        c[a][t].cap -= options_.cap_step;
+                        c[a][t].cap -= cap_step;
                         batch.push_back(std::move(c));
                     }
                     if (s[a][t].replicas > tier.min_replicas) {

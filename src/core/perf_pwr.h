@@ -31,9 +31,6 @@ namespace mistral::core {
 
 struct perf_pwr_options {
     lqn::model_options lqn{};
-    // Capacity-reduction granularity; defaults to the model's cpu_step.
-    fraction cap_step = 0.0;
-    int max_gradient_iterations = 400;
     // Optional per-app host restriction (same shape as
     // search_options::app_hosts): the packer only places an application's
     // VMs on its allowed hosts. Empty = unrestricted.

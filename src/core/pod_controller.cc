@@ -19,8 +19,7 @@ pod_controller::pod_controller(const cluster::cluster_model& model,
       spec_(std::move(spec)),
       apps_(std::move(apps)),
       lens_(lens),
-      opts_(builder.build_for(spec_)),
-      meter_step_(builder.meter_per_expansion()) {
+      opts_(builder.build_for(spec_)) {
     std::sort(spec_.hosts.begin(), spec_.hosts.end());
     spec_.hosts.erase(std::unique(spec_.hosts.begin(), spec_.hosts.end()),
                       spec_.hosts.end());
@@ -49,9 +48,7 @@ pod_controller::pod_controller(const cluster::cluster_model& model,
 void pod_controller::rebuild() {
     if (lens_ == pod_lens::scoped) {
         view_.reset();
-        controller_ = std::make_unique<mistral_controller>(
-            *model_, costs_, opts_,
-            std::make_unique<model_clock_meter>(meter_step_));
+        controller_ = std::make_unique<mistral_controller>(*model_, costs_, opts_);
         return;
     }
     if (apps_.empty()) {
@@ -68,9 +65,7 @@ void pod_controller::rebuild() {
     } else {
         view_.emplace(*model_, spec_.hosts, apps_);
     }
-    controller_ = std::make_unique<mistral_controller>(
-        view_->local(), costs_, opts_,
-        std::make_unique<model_clock_meter>(meter_step_));
+    controller_ = std::make_unique<mistral_controller>(view_->local(), costs_, opts_);
     if (budget_ < std::numeric_limits<watts>::infinity()) {
         controller_->set_power_cap(budget_);
     }

@@ -122,7 +122,6 @@ private:
     std::vector<std::size_t> apps_;
     pod_lens lens_;
     controller_options opts_;
-    seconds meter_step_;
     watts budget_ = std::numeric_limits<watts>::infinity();
     std::optional<cluster::cluster_view> view_;
     std::unique_ptr<mistral_controller> controller_;

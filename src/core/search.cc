@@ -143,7 +143,6 @@ adaptation_search::adaptation_search(const cluster::cluster_model& model,
     MISTRAL_CHECK(options_.max_expansions >= 1);
     MISTRAL_CHECK(options_.stop_factor >= 1.0);
     MISTRAL_CHECK(options_.max_plan_actions >= 1);
-    MISTRAL_CHECK(options_.per_action_overhead >= 0.0);
     MISTRAL_CHECK(options_.power_cap > 0.0);
     if (!options_.app_hosts.empty()) {
         MISTRAL_CHECK(options_.app_hosts.size() == model.app_count());
@@ -176,7 +175,7 @@ void adaptation_search::set_power_cap(watts cap) {
 search_result adaptation_search::find(const configuration& current,
                                       const std::vector<req_per_sec>& rates,
                                       seconds cw, dollars expected_utility,
-                                      search_meter& meter, seconds now) const {
+                                      model_clock_meter& meter, seconds now) const {
     const auto& model = *model_;
     MISTRAL_CHECK(rates.size() == model.app_count());
     MISTRAL_CHECK(cw > 0.0);
@@ -189,7 +188,7 @@ search_result adaptation_search::find(const configuration& current,
 
     // $/s drawn by one busy search worker, in utility units.
     const double search_cost_rate =
-        -utility_.power_rate(meter.search_power());  // ≥ 0
+        -utility_.power_rate(model_clock_meter::search_power);  // ≥ 0
 
     search_result stay;
     stay.target = current;
@@ -197,8 +196,9 @@ search_result adaptation_search::find(const configuration& current,
     // Per-decision profile: per-depth expansion/meter-time attribution plus
     // the budget state at finish, journaled as one "search" event (DESIGN.md
     // §10). Entirely skipped (one branch per expansion) when no journaling
-    // sink is attached. Under the model-clock meter the per-depth time is
-    // modeled search cost, so a profile replays bit-identically across hosts.
+    // sink is attached. The per-depth time is modeled search cost (the
+    // meter is the model clock), so a profile replays bit-identically across
+    // hosts.
     const bool profiling = obs::journaling(options_.sink);
     std::vector<double> depth_expansions;  // index = depth (actions from root)
     std::vector<double> depth_meter_time;  // meter seconds charged per depth
@@ -230,7 +230,7 @@ search_result adaptation_search::find(const configuration& current,
             .integer("expansions", static_cast<std::int64_t>(r.stats.expansions))
             .integer("generated", static_cast<std::int64_t>(r.stats.generated))
             .boolean("pruned", r.stats.pruned)
-            .text("meter", meter.kind())
+            .text("meter", "model_clock")
             .num_list("depth_expansions", std::move(depth_expansions))
             .num_list("depth_meter_time", std::move(depth_meter_time))
             .integer("plan_actions", static_cast<std::int64_t>(r.actions.size()))
@@ -428,8 +428,7 @@ search_result adaptation_search::find(const configuration& current,
             detail::transient_rate(model, utility_, rates, targets, vc, occ, pe,
                                    a, entry),
             ideal_rate);
-        c.accrued = v.accrued + entry.duration * during -
-                    options_.per_action_overhead;
+        c.accrued = v.accrued + entry.duration * during - per_action_overhead;
         c.duration = v.duration + entry.duration;
         c.depth = v.depth + 1;
         return c;

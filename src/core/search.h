@@ -47,6 +47,12 @@ class sink;
 
 namespace mistral::core {
 
+// Fixed $ overhead charged per planned action: the management plane's
+// actuation cost (API calls, scheduler churn, operator risk). Without it,
+// near-zero-cost actions (CPU-cap steps) make arbitrarily long plans
+// value-ties, and the search wanders. The lookahead re-scores plans with it.
+inline constexpr dollars per_action_overhead = 0.01;
+
 // All options are validated in the adaptation_search constructor; nonsense
 // values (a zero keep-fraction, a stop factor below 1) throw invariant_error
 // rather than being silently accepted.
@@ -65,11 +71,6 @@ struct search_options {
     // Hard safety cap on expansions; the naive variant hits this on large
     // clusters (the exponential blow-up Table I reports).
     std::size_t max_expansions = 4000;
-    // Fixed $ overhead charged per planned action: the management plane's
-    // actuation cost (API calls, scheduler churn, operator risk). Without it,
-    // near-zero-cost actions (CPU-cap steps) make arbitrarily long plans
-    // value-ties, and the search wanders.
-    dollars per_action_overhead = 0.01;
     // Hard bound on a single decision's action count. Real reconfigurations
     // in this problem size need at most a dozen actions; the bound is a
     // backstop against accrual-exploiting walks.
@@ -182,7 +183,7 @@ public:
     [[nodiscard]] search_result find(const cluster::configuration& current,
                                      const std::vector<req_per_sec>& rates,
                                      seconds cw, dollars expected_utility,
-                                     search_meter& meter,
+                                     model_clock_meter& meter,
                                      seconds now = 0.0) const;
 
 private:

@@ -30,9 +30,8 @@ bool rates_changed(const std::vector<req_per_sec>& a,
 // ---- Mistral ---------------------------------------------------------------
 
 mistral_strategy::mistral_strategy(const cluster_model& model, cost::cost_table costs,
-                                   controller_options options,
-                                   std::unique_ptr<search_meter> meter)
-    : controller_(model, std::move(costs), options, std::move(meter)) {}
+                                   controller_options options)
+    : controller_(model, std::move(costs), std::move(options)) {}
 
 strategy::outcome mistral_strategy::decide(const decision_input& in) {
     const auto decision = controller_.step(in);
@@ -94,7 +93,7 @@ perf_cost_strategy::perf_cost_strategy(const cluster_model& model,
     options.search.menu.host_power = false;
     options.search.app_hosts = pools_;
     controller_ = std::make_unique<mistral_controller>(model, std::move(costs),
-                                                       options, nullptr);
+                                                       options);
 }
 
 strategy::outcome perf_cost_strategy::decide(const decision_input& in) {

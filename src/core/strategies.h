@@ -60,8 +60,7 @@ public:
 class mistral_strategy final : public strategy {
 public:
     mistral_strategy(const cluster::cluster_model& model, cost::cost_table costs,
-                     controller_options options = {},
-                     std::unique_ptr<search_meter> meter = nullptr);
+                     controller_options options = {});
 
     [[nodiscard]] std::string name() const override { return "Mistral"; }
     outcome decide(const decision_input& in) override;

@@ -62,8 +62,7 @@ TEST_F(CoordinatorTest, RedistributeConservesTheBudgetExactly) {
     };
     for (const watts total : {500.0, 333.333, 0.001, 1234.567}) {
         for (const auto& reports : cases) {
-            const auto shares =
-                global_coordinator::redistribute(total, 0.5, reports);
+            const auto shares = global_coordinator::redistribute(total, reports);
             ASSERT_EQ(shares.size(), reports.size());
             std::int64_t sum = 0;
             for (const watts s : shares) {
@@ -80,11 +79,11 @@ TEST_F(CoordinatorTest, RedistributeFavorsPressuredPods) {
     // Equal draw, different pressure: the pressured pod gets the headroom.
     const std::vector<pod_report> reports = {{100.0, 300.0, 1.0},
                                              {100.0, 300.0, 0.0}};
-    const auto shares = global_coordinator::redistribute(400.0, 0.5, reports);
+    const auto shares = global_coordinator::redistribute(400.0, reports);
     EXPECT_GT(shares[0], shares[1]);
     // All-zero demand degenerates to an equal split.
     const std::vector<pod_report> idle = {{0.0, 300.0, 0.0}, {0.0, 300.0, 0.0}};
-    const auto even = global_coordinator::redistribute(400.0, 0.5, idle);
+    const auto even = global_coordinator::redistribute(400.0, idle);
     EXPECT_EQ(even[0], even[1]);
 }
 

@@ -21,21 +21,25 @@
 // The episode count is a CMake knob (-DMISTRAL_FAULT_EPISODES=N, default
 // 200) so CI can dial coverage against wall-clock.
 //
-// The harness also proves it can catch a broken controller: the documented
-// mutation `reconcile.plan_against_actual = false` (plan from the intended
-// configuration instead of the observed one) must produce illegal action
-// sequences under a hostile fault schedule.
+// The harness also proves it can catch a broken controller: in its mutated
+// form it feeds step() the configuration the previous plan would reach
+// instead of the one the testbed reports — a controller that plans from what
+// it intended, not from what happened — and that must produce action
+// sequences illegal against the actual configuration under a hostile fault
+// schedule.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "apps/rubis.h"
 #include "common/rng.h"
 #include "core/controller.h"
+#include "core/planner.h"
 #include "sim/testbed.h"
 
 #ifndef MISTRAL_FAULT_EPISODES
@@ -114,19 +118,22 @@ struct episode_tally {
 
 // Runs one controller-vs-testbed episode. With `expect_legal`, any illegal
 // emitted action fails the test; otherwise (the mutation check) illegal
-// sequences are counted and dropped.
+// sequences are counted and dropped. With `plan_against_intended` the
+// controller is shown where its last plan would have landed instead of the
+// configuration the testbed reports (the mutation); legality is checked
+// against the testbed's configuration either way.
 episode_tally run_episode(const cluster::cluster_model& model,
                           std::uint64_t seed, const sim::fault_options& faults,
-                          core::reconcile_options rec, bool expect_legal) {
+                          bool plan_against_intended, bool expect_legal) {
     sim::testbed_options tb_opts;
     tb_opts.seed = seed;
     tb_opts.faults = faults;
     sim::testbed tb(model, base_config(model), tb_opts);
 
-    auto ctl_opts = episode_controller_options();
-    ctl_opts.reconcile = rec;
+    const auto ctl_opts = episode_controller_options();
     core::mistral_controller ctl(model, cost::cost_table::paper_defaults(),
                                  ctl_opts);
+    std::optional<cluster::configuration> intended;  // where the last plan lands
     const core::utility_model util{ctl_opts.utility};
 
     rng workload(seed ^ 0xabcdULL);
@@ -148,7 +155,10 @@ episode_tally run_episode(const cluster::cluster_model& model,
         const std::vector<req_per_sec> rates(model.app_count(), rate);
 
         if (!tb.busy()) {
-            core::decision_input din{t, rates, tb.config(), last_utility};
+            core::decision_input din{
+                t, rates,
+                plan_against_intended && intended ? *intended : tb.config(),
+                last_utility};
             din.failed = pending_failed;
             din.hosts_failed = pending_down;
             din.hosts_recovered = pending_up;
@@ -160,6 +170,7 @@ episode_tally run_episode(const cluster::cluster_model& model,
 
             const auto d = ctl.step(din);
             if (!d.actions.empty()) {
+                intended = core::apply_plan(model, din.current, d.actions);
                 // Legality against the *actual* configuration, in sequence.
                 auto cfg = tb.config();
                 bool legal = true;
@@ -260,8 +271,9 @@ TEST(FaultProperty, RandomEpisodesPreserveInvariants) {
         const std::uint64_t seed = 1000 + static_cast<std::uint64_t>(ep);
         rng r(seed ^ 0x5eedULL);
         const auto faults = random_faults(r, /*with_crashes=*/true);
-        const auto tally =
-            run_episode(model, seed, faults, {}, /*expect_legal=*/true);
+        const auto tally = run_episode(model, seed, faults,
+                                       /*plan_against_intended=*/false,
+                                       /*expect_legal=*/true);
         EXPECT_EQ(tally.violations, 0) << "episode " << ep;
         failures_total += tally.notices_delivered;
         if (::testing::Test::HasFailure()) break;  // first bad episode is enough
@@ -275,8 +287,9 @@ TEST(FaultProperty, RandomEpisodesPreserveInvariants) {
 TEST(FaultProperty, InertScheduleLeavesLedgerUntouched) {
     const auto& model = shared_model();
     for (std::uint64_t seed : {7ull, 8ull, 9ull}) {
-        const auto tally =
-            run_episode(model, seed, {}, {}, /*expect_legal=*/true);
+        const auto tally = run_episode(model, seed, {},
+                                       /*plan_against_intended=*/false,
+                                       /*expect_legal=*/true);
         EXPECT_EQ(tally.notices_delivered, 0);
         EXPECT_EQ(tally.violations, 0);
     }
@@ -287,15 +300,14 @@ TEST(FaultProperty, InertScheduleLeavesLedgerUntouched) {
 // schedule it emits action sequences that are illegal against reality.
 TEST(FaultProperty, BrokenReconcilerIsCaught) {
     const auto& model = shared_model();
-    core::reconcile_options broken;
-    broken.plan_against_actual = false;  // the documented mutation
     auto faults = sim::fault_options::uniform(0.5, 0.0);
 
     std::int64_t violations = 0;
     for (int ep = 0; ep < 30 && violations == 0; ++ep) {
         const std::uint64_t seed = 5000 + static_cast<std::uint64_t>(ep);
-        const auto tally =
-            run_episode(model, seed, faults, broken, /*expect_legal=*/false);
+        const auto tally = run_episode(model, seed, faults,
+                                       /*plan_against_intended=*/true,
+                                       /*expect_legal=*/false);
         violations += tally.violations;
     }
     EXPECT_GT(violations, 0)
