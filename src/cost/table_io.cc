@@ -1,13 +1,38 @@
 #include "cost/table_io.h"
 
+#include <charconv>
+#include <cmath>
 #include <fstream>
 #include <iomanip>
 #include <limits>
 #include <sstream>
+#include <string_view>
 
 #include "common/check.h"
 
 namespace mistral::cost {
+
+namespace {
+
+// A numeric CSV field without the blanks around it (hand-edited files, CRLF
+// line ends).
+std::string_view trimmed(std::string_view field) {
+    const auto first = field.find_first_not_of(" \t\r");
+    if (first == std::string_view::npos) return {};
+    return field.substr(first, field.find_last_not_of(" \t\r") - first + 1);
+}
+
+// Parses the whole of `field` into `out` with from_chars: a trailing unit or
+// typo ("39.5abc", "21 watts", tier "2.7") is an error, not a number.
+template <class T>
+bool parse_whole(std::string_view field, T& out) {
+    field = trimmed(field);
+    const char* end = field.data() + field.size();
+    const auto [ptr, ec] = std::from_chars(field.data(), end, out);
+    return ec == std::errc{} && ptr == end;
+}
+
+}  // namespace
 
 cluster::action_kind parse_action_kind(const std::string& name) {
     using cluster::action_kind;
@@ -58,23 +83,24 @@ cost_table read_cost_table_csv(std::istream& in) {
         MISTRAL_CHECK_MSG(fields.size() == 7,
                           "cost table line " << line_no << ": expected 7 fields, got "
                                              << fields.size() << " in: " << line);
-        try {
-            const auto kind = parse_action_kind(fields[0]);
-            const auto tier = static_cast<std::size_t>(std::stoul(fields[1]));
-            const req_per_sec workload = std::stod(fields[2]);
-            cost_entry e;
-            e.duration = std::stod(fields[3]);
-            e.delta_rt_target = std::stod(fields[4]);
-            e.delta_rt_colocated = std::stod(fields[5]);
-            e.delta_power = std::stod(fields[6]);
-            table.add_measurement(kind, tier, workload, e);
-        } catch (const invariant_error&) {
-            throw;
-        } catch (const std::exception&) {
-            MISTRAL_CHECK_MSG(false, "cost table line " << line_no
-                                                        << ": non-numeric field in: "
-                                                        << line);
+        // A tier is a non-negative integer; every other number is finite.
+        std::size_t tier = 0;
+        MISTRAL_CHECK_MSG(parse_whole(fields[1], tier),
+                          "cost table line " << line_no
+                                             << ": tier is not a non-negative "
+                                                "integer in: " << line);
+        double numbers[5] = {};
+        for (std::size_t i = 0; i < 5; ++i) {
+            MISTRAL_CHECK_MSG(
+                parse_whole(fields[2 + i], numbers[i]) && std::isfinite(numbers[i]),
+                "cost table line " << line_no << ": field " << 3 + i
+                                   << " is not a finite number in: " << line);
         }
+        const cost_entry e{.duration = numbers[1],
+                           .delta_rt_target = numbers[2],
+                           .delta_rt_colocated = numbers[3],
+                           .delta_power = numbers[4]};
+        table.add_measurement(parse_action_kind(fields[0]), tier, numbers[0], e);
     }
     return table;
 }

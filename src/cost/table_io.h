@@ -23,7 +23,9 @@ void write_cost_table_csv(std::ostream& out, const cost_table& table);
 void save_cost_table_csv(const std::string& path, const cost_table& table);
 
 // Parses a table written by the functions above (or by hand). Throws
-// invariant_error with line context on malformed rows or unknown kinds.
+// invariant_error with line context on malformed rows or unknown kinds: each
+// numeric field must parse whole (blanks around it aside), the tier must be
+// a non-negative integer, and every other number must be finite.
 cost_table read_cost_table_csv(std::istream& in);
 cost_table load_cost_table_csv(const std::string& path);
 

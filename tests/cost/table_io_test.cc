@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "common/check.h"
 
@@ -51,10 +52,14 @@ TEST(CostTableIo, ToleratesCommentsAndHeader) {
     std::istringstream in(
         "kind,tier,workload,duration,delta_rt_target,delta_rt_colocated,delta_power\n"
         "# hand-added entry\n"
-        "migrate,2,50,39.5,0.35,0.07,21\n");
+        "migrate,2,50,39.5,0.35,0.07,21\n"
+        "# blanks around numbers and a CRLF line end\n"
+        "add_replica, 1 ,40, 12.5,0.2,0.05,18\r\n");
     const auto t = read_cost_table_csv(in);
     ASSERT_TRUE(t.has(action_kind::migrate, 2));
     EXPECT_DOUBLE_EQ(t.lookup(action_kind::migrate, 2, 50.0).duration, 39.5);
+    ASSERT_TRUE(t.has(action_kind::add_replica, 1));
+    EXPECT_DOUBLE_EQ(t.lookup(action_kind::add_replica, 1, 40.0).delta_power, 18.0);
 }
 
 TEST(CostTableIo, RejectsMalformedRows) {
@@ -66,6 +71,42 @@ TEST(CostTableIo, RejectsMalformedRows) {
     EXPECT_THROW(read_cost_table_csv(bad_number), invariant_error);
     std::istringstream negative_duration("migrate,2,50,-1,0,0,0\n");
     EXPECT_THROW(read_cost_table_csv(negative_duration), invariant_error);
+}
+
+// The shapes below all parsed before the reader checked its fields whole:
+// each must be refused rather than stored.
+void expect_refused(const std::string& row) {
+    std::istringstream in(row + "\n");
+    EXPECT_THROW(read_cost_table_csv(in), invariant_error) << row;
+}
+
+TEST(CostTableIo, RejectsNonFiniteDeltas) {
+    for (const char* bad : {"nan", "inf", "-inf"}) {
+        const std::string v(bad);
+        expect_refused("migrate,2,50,39.5," + v + ",0.07,21");
+        expect_refused("migrate,2,50,39.5,0.35," + v + ",21");
+        expect_refused("migrate,2,50,39.5,0.35,0.07," + v);
+    }
+}
+
+TEST(CostTableIo, RejectsInfiniteDuration) {
+    expect_refused("migrate,2,50,inf,0.35,0.07,21");
+}
+
+// An infinite workload key used to poison every lookup near it with NaN.
+TEST(CostTableIo, RejectsInfiniteWorkload) {
+    expect_refused("migrate,2,inf,39.5,0.35,0.07,21");
+}
+
+// std::stoul wrapped "-1" to 2^64 - 1 and stored it as the tier.
+TEST(CostTableIo, RejectsNegativeTier) {
+    expect_refused("migrate,-1,50,39.5,0.35,0.07,21");
+}
+
+TEST(CostTableIo, RejectsPartialFields) {
+    expect_refused("migrate,2,50,39.5abc,0.35,0.07,21");
+    expect_refused("migrate,2.7,50,39.5,0.35,0.07,21");
+    expect_refused("migrate,2,50,39.5,0.35,0.07,21 watts");
 }
 
 TEST(CostTableIo, FileRoundTrip) {
