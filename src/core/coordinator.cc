@@ -18,27 +18,6 @@ namespace {
 // min(pressure, 1) · (max_draw − draw). Pressured pods ask for headroom.
 constexpr double grow_margin = 0.5;
 
-// Whole-cluster headroom report (the escalation controller's event row).
-pod_report cluster_report(const cluster::cluster_model& model,
-                          const cluster::configuration& config) {
-    pod_report r;
-    double cap_total = 0.0;
-    std::size_t healthy = 0;
-    for (std::size_t h = 0; h < model.host_count(); ++h) {
-        const host_id host{static_cast<std::int32_t>(h)};
-        const auto& hs = model.hosts()[h];
-        r.max_draw += hs.power.power(1.0);
-        if (!config.host_failed(host)) ++healthy;
-        if (!config.host_on(host)) continue;
-        cap_total += config.cap_sum(host);
-        r.draw += hs.power.power(config.cap_sum(host) / hs.cpu_capacity);
-    }
-    const double denom =
-        model.limits().host_cpu_cap * static_cast<double>(healthy);
-    r.pressure = denom > 0.0 ? cap_total / denom : 1.0;
-    return r;
-}
-
 void validate_level1(const cluster::cluster_model& model,
                      const std::vector<pod_spec>& pods) {
     MISTRAL_CHECK_MSG(!pods.empty(), "two-level mode needs level-1 pods");
@@ -436,30 +415,35 @@ void global_coordinator::redistribute_budgets(const decision_input& in,
     }
 }
 
-void global_coordinator::emit_pod_decision(const pod_controller& pod,
-                                           const pod_outcome& po,
+void global_coordinator::emit_pod_decision(const pod_controller* pod,
+                                           const controller_decision& d,
                                            const cluster::configuration& at,
-                                           seconds now,
-                                           const char* level) const {
+                                           seconds now) const {
     if (!obs::journaling(sink_)) return;
-    const pod_report r = pod.report(at);
-    const watts budget = pod.budget();
+    // The escalation controller's row reports the whole cluster, uncapped.
+    std::vector<std::size_t> every_host;
+    if (pod == nullptr) {
+        every_host.resize(model_->host_count());
+        std::iota(every_host.begin(), every_host.end(), std::size_t{0});
+    }
+    const pod_report r =
+        report_hosts(*model_, at, pod != nullptr ? pod->spec().hosts : every_host);
+    const watts budget =
+        pod != nullptr ? pod->budget() : std::numeric_limits<watts>::infinity();
     obs::event e("pod_decision", now);
-    e.integer("pod", static_cast<std::int64_t>(pod.spec().id))
-        .text("level", level)
-        .boolean("invoked", po.invoked)
-        .integer("actions", static_cast<std::int64_t>(po.actions.size()))
-        .num("duration", po.decision.stats.duration)
-        .integer("expansions",
-                 static_cast<std::int64_t>(po.decision.stats.expansions))
-        .integer("generated",
-                 static_cast<std::int64_t>(po.decision.stats.generated))
-        .num("expected_utility", po.decision.expected_utility)
+    e.integer("pod", pod != nullptr ? static_cast<std::int64_t>(pod->spec().id) : -1)
+        .text("level", pod != nullptr ? "pod" : "global")
+        .boolean("invoked", d.invoked)
+        .integer("actions", static_cast<std::int64_t>(d.actions.size()))
+        .num("duration", d.stats.duration)
+        .integer("expansions", static_cast<std::int64_t>(d.stats.expansions))
+        .integer("generated", static_cast<std::int64_t>(d.stats.generated))
+        .num("expected_utility", d.expected_utility)
         // JSON has no infinity; -1 marks an uncapped pod.
         .num("budget_watts", std::isfinite(budget) ? budget : -1.0)
         .num("draw_watts", r.draw)
         .num("pressure", r.pressure)
-        .text("mode", to_string(po.decision.mode));
+        .text("mode", to_string(d.mode));
     sink_->record(e);
 }
 
@@ -471,25 +455,7 @@ strategy::outcome global_coordinator::decide_two_level(const decision_input& in)
         obs_escalations_.add();
         obs_escalation_actions_.add(static_cast<std::int64_t>(d2.actions.size()));
         obs_escalation_seconds_.observe(d2.stats.duration);
-        if (obs::journaling(sink_)) {
-            const pod_report r = cluster_report(*model_, in.current);
-            obs::event e("pod_decision", in.now);
-            e.integer("pod", -1)
-                .text("level", "global")
-                .boolean("invoked", true)
-                .integer("actions", static_cast<std::int64_t>(d2.actions.size()))
-                .num("duration", d2.stats.duration)
-                .integer("expansions",
-                         static_cast<std::int64_t>(d2.stats.expansions))
-                .integer("generated",
-                         static_cast<std::int64_t>(d2.stats.generated))
-                .num("expected_utility", d2.expected_utility)
-                .num("budget_watts", -1.0)
-                .num("draw_watts", r.draw)
-                .num("pressure", r.pressure)
-                .text("mode", to_string(d2.mode));
-            sink_->record(e);
-        }
+        emit_pod_decision(nullptr, d2, in.current, in.now);
         // An invoked search costs time and power whether or not a plan came
         // back; self-aware accounting keeps the empty-plan case on the books.
         out.invoked = true;
@@ -518,7 +484,7 @@ strategy::outcome global_coordinator::decide_two_level(const decision_input& in)
         step_in.current = probe;
         step_in.last_interval_utility = in.last_interval_utility;
         const auto po = pod->step(step_in);
-        emit_pod_decision(*pod, po, probe, in.now, "pod");
+        emit_pod_decision(pod.get(), po.decision, probe, in.now);
         if (!po.invoked) continue;
         out.invoked = true;
         pod_delay = std::max(pod_delay, po.decision.stats.duration);
@@ -568,7 +534,7 @@ strategy::outcome global_coordinator::decide_sharded(const decision_input& in) {
         out.decision_delay = po.decision.stats.duration;
         out.decision_power_cost = po.decision.stats.search_power_cost;
         out.stats = po.decision.stats;
-        emit_pod_decision(*pods_[0], po, in.current, in.now, "pod");
+        emit_pod_decision(pods_[0].get(), po.decision, in.current, in.now);
         return out;
     }
 
@@ -637,7 +603,7 @@ strategy::outcome global_coordinator::decide_sharded(const decision_input& in) {
         if (faults[i].hang_multiplier > 1.0 && po.invoked) {
             po.decision.stats.duration *= faults[i].hang_multiplier;
         }
-        emit_pod_decision(*pods_[i], po, in.current, in.now, "pod");
+        emit_pod_decision(pods_[i].get(), po.decision, in.current, in.now);
         if (!po.invoked) continue;
         if (po.decision.stats.duration > options_.pod_deadline) {
             // Deadline blown: the late plan is stale by the time it lands,
@@ -670,9 +636,10 @@ strategy::outcome global_coordinator::decide_sharded(const decision_input& in) {
 
     // Region-aware runs journal the economic context each interval: the
     // per-pod prices the biases used, the budget in force, and how many
-    // brokered moves they produced.
+    // brokered moves they produced. (Each pod controller journals its own
+    // pricing context as an econ_decision.)
     if (!options_.regions.empty() && obs::journaling(sink_)) {
-        obs::event e("econ_decision", in.now);
+        obs::event e("region_decision", in.now);
         e.num_list("pod_prices", pod_prices(in.now))
             .num("budget_watts", std::isfinite(budget_now) ? budget_now : -1.0)
             .integer("brokered_moves", brokered_migrations_ - moves_before);

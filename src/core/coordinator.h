@@ -41,7 +41,8 @@
 // Journal events (fixed field order, obs/journal.h): `pod_decision` per pod
 // step, `pod_budget` per redistribution, `pod_migration` per brokered move
 // (`from` = -1 marks a gather of a half-moved app), `pod_reconcile` per
-// ownership change the reconciliation pass makes (`from`/`to` = -1: unowned).
+// ownership change the reconciliation pass makes (`from`/`to` = -1: unowned),
+// and `region_decision` per interval when regions are set.
 #pragma once
 
 #include <functional>
@@ -274,9 +275,10 @@ private:
                            seconds now);
     // Per-pod regional price at `now` (empty when regions are unset).
     [[nodiscard]] std::vector<double> pod_prices(seconds now) const;
-    void emit_pod_decision(const pod_controller& pod, const pod_outcome& po,
-                           const cluster::configuration& at, seconds now,
-                           const char* level) const;
+    // One `pod_decision` event for a pod's decision record, or (pod ==
+    // nullptr) for the two-level escalation controller's.
+    void emit_pod_decision(const pod_controller* pod, const controller_decision& d,
+                           const cluster::configuration& at, seconds now) const;
 };
 
 }  // namespace mistral::core

@@ -140,21 +140,23 @@ void pod_controller::set_budget(watts cap) {
     if (controller_) controller_->set_power_cap(cap);
 }
 
-pod_report pod_controller::report(const cluster::configuration& global) const {
+pod_report report_hosts(const cluster::cluster_model& model,
+                        const cluster::configuration& config,
+                        const std::vector<std::size_t>& hosts) {
     pod_report r;
     double cap_total = 0.0;
     std::size_t healthy = 0;
-    for (const std::size_t h : spec_.hosts) {
+    for (const std::size_t h : hosts) {
         const host_id host{static_cast<std::int32_t>(h)};
-        const auto& hs = model_->hosts()[h];
+        const auto& hs = model.hosts()[h];
         r.max_draw += hs.power.power(1.0);
-        if (!global.host_failed(host)) ++healthy;
-        if (!global.host_on(host)) continue;
-        cap_total += global.cap_sum(host);
-        r.draw += hs.power.power(global.cap_sum(host) / hs.cpu_capacity);
+        if (!config.host_failed(host)) ++healthy;
+        if (!config.host_on(host)) continue;
+        cap_total += config.cap_sum(host);
+        r.draw += hs.power.power(config.cap_sum(host) / hs.cpu_capacity);
     }
     const double denom =
-        model_->limits().host_cpu_cap * static_cast<double>(healthy);
+        model.limits().host_cpu_cap * static_cast<double>(healthy);
     r.pressure = denom > 0.0 ? cap_total / denom : 1.0;
     return r;
 }

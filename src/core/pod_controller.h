@@ -50,6 +50,13 @@ struct pod_report {
     double pressure = 0.0;
 };
 
+// Headroom/shortfall report over `hosts` (parent-model host indices) in
+// `config`: a pod's hosts, or every host for the two-level escalation
+// controller's journal row.
+[[nodiscard]] pod_report report_hosts(const cluster::cluster_model& model,
+                                      const cluster::configuration& config,
+                                      const std::vector<std::size_t>& hosts);
+
 // One pod's complete mutable state, for exact-round-trip checkpoints
 // (core/snapshot.h): the app assignment (which determines the view), the
 // applied budget, and the inner controller's state (absent for idle pods).
@@ -101,7 +108,9 @@ public:
     void set_budget(watts cap);
 
     // Headroom/shortfall report over the pod's hosts in `global`.
-    [[nodiscard]] pod_report report(const cluster::configuration& global) const;
+    [[nodiscard]] pod_report report(const cluster::configuration& global) const {
+        return report_hosts(*model_, global, spec_.hosts);
+    }
 
     // Migration-broker bookkeeping (sharded lens): ownership changes rebuild
     // the pod's view and controller — predictors restart cold, which is the

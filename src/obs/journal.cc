@@ -116,8 +116,8 @@ const std::vector<std::string>& known_event_types() {
         "interval",          "ladder_transition", "lookahead",
         "migration_abort",   "pod_budget",        "pod_decision",
         "pod_migration",     "pod_quarantine",    "pod_reconcile",
-        "predictor_divergence", "restart",        "search",
-        "tariff_change",     "telemetry_fault",
+        "predictor_divergence", "region_decision", "restart",
+        "search",            "tariff_change",     "telemetry_fault",
     };
     return types;
 }

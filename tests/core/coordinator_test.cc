@@ -13,6 +13,7 @@
 #include "obs/journal.h"
 #include "obs/json.h"
 #include "sim/testbed.h"
+#include "workload/generators.h"
 
 namespace mistral::core {
 namespace {
@@ -416,6 +417,54 @@ TEST_F(CoordinatorTest, PodDecisionEventHasFixedFieldOrderAndRoundTrips) {
         // No budget broker configured: the sentinel marks the pod uncapped
         // (JSON has no infinity).
         EXPECT_EQ(v.find("budget_watts")->as_number(), -1.0);
+    }
+}
+
+// With regions set, two emitters journal economics each interval: every
+// econ-bound pod controller writes its pricing context as `econ_decision`,
+// and the coordinator writes the regional context as `region_decision`.
+// The two types keep disjoint, fixed field orders.
+TEST_F(CoordinatorTest, RegionDecisionEventHasFixedFieldOrderAndRoundTrips) {
+    obs::memory_sink sink;
+    controller_builder builder;
+    builder.sink(&sink);
+    coordinator_options opts;
+    opts.regions = econ::region_map(wl::two_region_spread(0.01, 0.03), {0, 1});
+    global_coordinator coord(model, costs, halves(), builder, opts);
+    auto cfg = packed();
+    for (int i = 0; i < 3; ++i) {
+        const auto out =
+            coord.decide({120.0 * i, {40.0, 30.0}, cfg, 1.0});
+        for (const auto& a : out.actions) cfg = cluster::apply(model, cfg, a);
+    }
+    EXPECT_EQ(sink.count("region_decision"), 3u);
+    EXPECT_GE(sink.count("econ_decision"), 1u);
+
+    const std::vector<std::string> region_fields = {
+        "type", "t", "pod_prices", "budget_watts", "brokered_moves"};
+    const std::vector<std::string> econ_fields = {
+        "type",         "t",
+        "price",        "carbon_intensity",
+        "carbon_dollars_per_watt_interval",
+        "performance_based",
+        "power_cap",    "expected_utility"};
+    for (const auto& e : sink.events()) {
+        if (e.type != "region_decision" && e.type != "econ_decision") continue;
+        const std::string line = to_json_line(e);
+        const auto v = obs::json::value::parse(line);
+        EXPECT_EQ(v.dump(), line);
+        const auto& expected =
+            e.type == "region_decision" ? region_fields : econ_fields;
+        const auto& members = v.members();
+        ASSERT_EQ(members.size(), expected.size()) << line;
+        for (std::size_t i = 0; i < expected.size(); ++i) {
+            EXPECT_EQ(members[i].first, expected[i]) << "position " << i;
+        }
+        if (e.type == "region_decision") {
+            // One price per pod; no budget broker, so the sentinel.
+            EXPECT_EQ(v.find("pod_prices")->items().size(), 2u);
+            EXPECT_EQ(v.find("budget_watts")->as_number(), -1.0);
+        }
     }
 }
 

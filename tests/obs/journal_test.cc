@@ -247,6 +247,8 @@ std::vector<event> event_samples() {
     add("pod_reconcile").integer("pods", 4).num("total_power", 3600.0);
     add("predictor_divergence").integer("app", 0).boolean("trusted", false)
         .num("drift", 6.5);
+    add("region_decision").num_list("pod_prices", {0.01, 0.03})
+        .num("budget_watts", 900.0).integer("brokered_moves", 1);
     add("restart").integer("replayed", 5).num("checkpoint_t", 3600.0);
     add("search").integer("expansions", 128).num("duration", 0.25)
         .boolean("pruned", false);
