@@ -17,31 +17,14 @@ app_solve_cache::app_solve_cache(std::size_t capacity) : capacity_(capacity) {
     MISTRAL_CHECK(capacity >= 1);
 }
 
-const lqn::app_result* app_solve_cache::find(const app_signature& sig) {
-    const auto it = index_.find(sig);
-    if (it == index_.end()) return nullptr;
-    lru_.splice(lru_.begin(), lru_, it->second);  // move to front
-    return &it->second->second;
+const lqn::app_result* app_solve_cache::find(const app_signature& sig) const {
+    const auto it = entries_.find(sig);
+    return it == entries_.end() ? nullptr : &it->second;
 }
 
 void app_solve_cache::insert(app_signature sig, lqn::app_result value) {
-    const auto it = index_.find(sig);
-    if (it != index_.end()) {
-        it->second->second = std::move(value);
-        lru_.splice(lru_.begin(), lru_, it->second);
-        return;
-    }
-    lru_.emplace_front(std::move(sig), std::move(value));
-    index_.emplace(lru_.front().first, lru_.begin());
-    while (lru_.size() > capacity_) {
-        index_.erase(lru_.back().first);
-        lru_.pop_back();
-    }
-}
-
-void app_solve_cache::clear() {
-    lru_.clear();
-    index_.clear();
+    if (entries_.size() >= capacity_ && !entries_.contains(sig)) entries_.clear();
+    entries_.insert_or_assign(std::move(sig), std::move(value));
 }
 
 app_signature make_app_signature(std::size_t app, std::int64_t rate_key,

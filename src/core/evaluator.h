@@ -18,8 +18,8 @@
 //    caps, the inflation factors of the hosts they occupy, and its request
 //    rate. Adjacent search vertices differ by one action touching 1–2 apps,
 //    so evaluating a neighbor re-solves only the perturbed apps. The cache
-//    persists across decisions (bounded LRU). See DESIGN.md "Incremental
-//    evaluation".
+//    persists across decisions (bounded: cleared when full). See DESIGN.md
+//    "Incremental evaluation".
 //  * lqn::solve_app — the sub-solve itself, on a cache miss.
 //
 // The Perf-Pwr gradient's isolated view (evaluate_isolated) is scored one
@@ -39,7 +39,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <list>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -84,9 +83,10 @@ struct isolated_perf {
     bool meets_all_targets = true;
 };
 
-// Per-app sub-solve entries kept (LRU). Entries are small (one app_result)
-// and the cache persists across decisions, so it holds many decisions'
-// working sets (a few thousand vertices each on the paper's cluster sizes).
+// Per-app sub-solve entries kept. Entries are small (one app_result) and the
+// cache persists across decisions, so it holds many decisions' working sets
+// (a few thousand vertices each on the paper's cluster sizes; the benchmark's
+// runs peak below 10,000 entries per evaluator).
 inline constexpr std::size_t app_cache_entries = 65536;
 
 struct evaluation_options {
@@ -148,26 +148,25 @@ struct app_signature_hash {
     }
 };
 
-// LRU cache of per-application LQN sub-solves, keyed by app_signature. It is
+// Cache of per-application LQN sub-solves, keyed by app_signature. It is
 // *not* cleared when the workload moves: the rate is part of the key, so
-// entries for other rates simply stop matching and age out — which is what
-// lets sub-solves persist across controller decisions.
+// sub-solves persist across controller decisions (and across the rate
+// bindings of one lookahead step) and re-hit when a rate returns. An insert
+// that finds it full clears it first, so memory stays bounded without
+// per-hit bookkeeping; entries are pure memoization, so a clear costs
+// re-solves, never a different result.
 class app_solve_cache {
 public:
     explicit app_solve_cache(std::size_t capacity);
 
     // nullptr on miss. The pointer is invalidated by the next insert.
-    [[nodiscard]] const lqn::app_result* find(const app_signature& sig);
+    [[nodiscard]] const lqn::app_result* find(const app_signature& sig) const;
     void insert(app_signature sig, lqn::app_result value);
-    void clear();
+    void clear() { entries_.clear(); }
 
 private:
-    using entry = std::pair<app_signature, lqn::app_result>;
     std::size_t capacity_;
-    std::list<entry> lru_;  // front = most recently used
-    std::unordered_map<app_signature, std::list<entry>::iterator,
-                       app_signature_hash>
-        index_;
+    std::unordered_map<app_signature, lqn::app_result, app_signature_hash> entries_;
 };
 
 // The signature of app `a` within a translated deployment (exposed for
