@@ -23,7 +23,7 @@ const lqn::app_result* app_solve_cache::find(const app_signature& sig) const {
 }
 
 void app_solve_cache::insert(app_signature sig, lqn::app_result value) {
-    if (entries_.size() >= capacity_ && !entries_.contains(sig)) entries_.clear();
+    if (entries_.size() >= capacity_) entries_.clear();
     entries_.insert_or_assign(std::move(sig), std::move(value));
 }
 

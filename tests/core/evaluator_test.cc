@@ -183,6 +183,28 @@ TEST_F(EvaluatorTest, OptionsAreValidated) {
     EXPECT_THROW(app_solve_cache(0), invariant_error);
 }
 
+// The sub-solve cache is bounded without per-hit bookkeeping: an insert that
+// finds it full clears it first.
+TEST_F(EvaluatorTest, AppSolveCacheClearsWhenFull) {
+    const auto sig = [](std::uint64_t w) { return app_signature{{w}}; };
+    const auto result = [](seconds rt) {
+        lqn::app_result r;
+        r.mean_response_time = rt;
+        return r;
+    };
+    app_solve_cache cache(2);
+    cache.insert(sig(1), result(0.1));
+    cache.insert(sig(2), result(0.2));
+    ASSERT_NE(cache.find(sig(1)), nullptr);
+    EXPECT_EQ(cache.find(sig(1))->mean_response_time, 0.1);
+    EXPECT_EQ(cache.find(sig(2))->mean_response_time, 0.2);
+    cache.insert(sig(3), result(0.3));
+    EXPECT_EQ(cache.find(sig(1)), nullptr);
+    EXPECT_EQ(cache.find(sig(2)), nullptr);
+    ASSERT_NE(cache.find(sig(3)), nullptr);
+    EXPECT_EQ(cache.find(sig(3))->mean_response_time, 0.3);
+}
+
 TEST_F(EvaluatorTest, EvaluateRequiresBoundDecision) {
     serial_evaluator ev(model, utility_model{});
     EXPECT_THROW((void)ev.evaluate(base()), invariant_error);
