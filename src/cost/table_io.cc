@@ -5,7 +5,6 @@
 #include <fstream>
 #include <iomanip>
 #include <limits>
-#include <sstream>
 #include <string_view>
 
 #include "common/check.h"
@@ -76,10 +75,15 @@ cost_table read_cost_table_csv(std::istream& in) {
         if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
         if (line.rfind("kind,", 0) == 0) continue;  // header
 
-        std::istringstream row(line);
-        std::string field;
+        // Every comma separates two fields, so a trailing comma is an empty
+        // eighth field rather than nothing.
         std::vector<std::string> fields;
-        while (std::getline(row, field, ',')) fields.push_back(field);
+        for (std::size_t begin = 0;;) {
+            const auto comma = line.find(',', begin);
+            fields.push_back(line.substr(begin, comma - begin));
+            if (comma == std::string::npos) break;
+            begin = comma + 1;
+        }
         MISTRAL_CHECK_MSG(fields.size() == 7,
                           "cost table line " << line_no << ": expected 7 fields, got "
                                              << fields.size() << " in: " << line);

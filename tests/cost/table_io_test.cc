@@ -71,6 +71,8 @@ TEST(CostTableIo, RejectsMalformedRows) {
     EXPECT_THROW(read_cost_table_csv(bad_number), invariant_error);
     std::istringstream negative_duration("migrate,2,50,-1,0,0,0\n");
     EXPECT_THROW(read_cost_table_csv(negative_duration), invariant_error);
+    std::istringstream trailing_comma("migrate,2,50,39.5,0.35,0.07,21,\n");
+    EXPECT_THROW(read_cost_table_csv(trailing_comma), invariant_error);
 }
 
 // The shapes below all parsed before the reader checked its fields whole:
