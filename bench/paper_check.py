@@ -5,6 +5,7 @@
     ./build/bench/table1_scalability --json | python3 bench/paper_check.py table1 --write
     ./build/bench/fig10_search_cost --json | python3 bench/paper_check.py fig10
     ./build/bench/fig09_cumulative_utility --json | python3 bench/paper_check.py fig09
+    ./build/bench/ablation_pruning --json | python3 bench/paper_check.py ablation_pruning
 
 Reads one JSON object from stdin and compares it exactly with the named
 section of BENCH_paper.json at the repository root. The paper benches are
