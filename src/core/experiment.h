@@ -55,7 +55,7 @@ struct scenario_options {
     econ_profile econ{};
     // Traces per application; when empty, the Fig. 4 workloads are generated
     // (truncated/cycled to app_count).
-    std::vector<wl::trace> traces;
+    std::vector<wl::trace> traces{};
     // Observability hook (obs/journal.h): forwarded to the testbed (unless it
     // set its own) and used by the harness itself to emit one "interval"
     // record per monitoring interval — measured utility, power, actions,

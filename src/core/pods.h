@@ -28,9 +28,9 @@ struct pod_spec {
     std::vector<std::size_t> hosts;
     // Workload band width for the pod's controller; nullopt inherits the
     // builder's base band (the two-level hierarchy pins level-1 pods to 0).
-    std::optional<req_per_sec> band;
+    std::optional<req_per_sec> band{};
     // Action mask for the pod's controller; nullopt inherits the base menu.
-    std::optional<cluster::action_menu> menu;
+    std::optional<cluster::action_menu> menu{};
 };
 
 // A validated cluster partition. Construction (via the builder functions
