@@ -314,6 +314,32 @@ bool is_candidate_child(const cluster_model& model, const configuration& parent,
     return true;
 }
 
+double child_distance(const cluster_model& model, const configuration& parent,
+                      const action& a, const ideal_distance& d) {
+    const auto step = model.limits().cpu_step;
+    return std::visit(
+        [&](const auto& x) -> double {
+            using T = std::decay_t<decltype(x)>;
+            if constexpr (std::is_same_v<T, increase_cpu>) {
+                const auto& p = *parent.placement(x.vm);
+                return d.of_child(x.vm, vm_placement{p.host, round_cap(p.cpu_cap + step)});
+            } else if constexpr (std::is_same_v<T, decrease_cpu>) {
+                const auto& p = *parent.placement(x.vm);
+                return d.of_child(x.vm, vm_placement{p.host, round_cap(p.cpu_cap - step)});
+            } else if constexpr (std::is_same_v<T, add_replica>) {
+                return d.of_child(x.vm, vm_placement{x.to, round_cap(x.cpu_cap)});
+            } else if constexpr (std::is_same_v<T, remove_replica>) {
+                return d.of_child(x.vm, std::nullopt);
+            } else if constexpr (std::is_same_v<T, migrate>) {
+                const auto& p = *parent.placement(x.vm);
+                return d.of_child(x.vm, vm_placement{x.to, round_cap(p.cpu_cap)});
+            } else {
+                return d.of_parent();
+            }
+        },
+        a);
+}
+
 std::vector<action> enumerate_actions(const cluster_model& model,
                                       const configuration& config,
                                       const action_menu& menu) {

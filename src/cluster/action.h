@@ -103,6 +103,16 @@ void apply_into(const cluster_model& model, const configuration& config,
                                       const configuration& parent,
                                       const configuration& child, const action& a);
 
+// d's distance of apply(model, parent, a), for an applicable `a` and after
+// d.set_parent(parent), without building the child: the one VM `a` resizes,
+// places, retires or moves takes its new placement, with the cap rounded as
+// apply's mutators round it; a host-power action places nothing, so its
+// child scores as the parent. The search ranks a pruning expansion's
+// children through this.
+[[nodiscard]] double child_distance(const cluster_model& model,
+                                    const configuration& parent, const action& a,
+                                    const ideal_distance& d);
+
 // Which actions the optimizer may consider; levels of the controller
 // hierarchy restrict this set (Section II-C).
 struct action_menu {

@@ -11,8 +11,6 @@ namespace mistral::cluster {
 
 namespace {
 
-fraction round_cap(fraction cap) { return std::round(cap * 1000.0) / 1000.0; }
-
 // Exact integer milli-cap of an already-rounded cap.
 std::int32_t milli(fraction cap) {
     return static_cast<std::int32_t>(std::llround(cap * 1000.0));
@@ -346,6 +344,40 @@ double placement_distance(const cluster_model& model, const configuration& a,
         same += identical ? 1 : 0;
     }
     return 1.0 - static_cast<double>(same) / static_cast<double>(model.vm_count());
+}
+
+ideal_distance::ideal_distance(const cluster_model& model, const configuration& ideal)
+    : weight_(model.vm_count(), 0.05),
+      ideal_cap_(model.vm_count(), 0.0),
+      ideal_host_(model.vm_count()),
+      terms_(model.vm_count(), 0.0),
+      same_(model.vm_count(), 0),
+      prefix_(model.vm_count() + 1, 0.0) {
+    // cap_distance's weights, summed in the same order. VM ids are their
+    // positions in model.vms().
+    double weight_sum = 0.0;
+    for (const auto& desc : model.vms()) {
+        const std::size_t i = desc.vm.index();
+        if (const auto& p = ideal.placement(desc.vm)) {
+            weight_[i] = p->cpu_cap;
+            ideal_cap_[i] = p->cpu_cap;
+            ideal_host_[i] = p->host;
+        }
+        weight_sum += weight_[i];
+    }
+    for (double& w : weight_) w /= weight_sum;
+}
+
+void ideal_distance::set_parent(const configuration& parent) {
+    MISTRAL_CHECK(parent.vm_count() == terms_.size());
+    same_count_ = 0;
+    for (std::size_t i = 0; i < terms_.size(); ++i) {
+        const auto& p = parent.placement(vm_id{static_cast<std::int32_t>(i)});
+        terms_[i] = term(i, p);
+        same_[i] = same(i, p) ? 1 : 0;
+        same_count_ += same_[i];
+        prefix_[i + 1] = prefix_[i] + terms_[i];
+    }
 }
 
 }  // namespace mistral::cluster

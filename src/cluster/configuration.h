@@ -16,6 +16,7 @@
 // the CPU packing constraint.
 #pragma once
 
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
@@ -35,6 +36,12 @@ struct vm_placement {
 
     friend bool operator==(const vm_placement&, const vm_placement&) = default;
 };
+
+// The rounding every configuration mutator applies to a CPU cap: caps are
+// kept as multiples of 1e-3, so value equality is exact.
+[[nodiscard]] inline fraction round_cap(fraction cap) {
+    return std::round(cap * 1000.0) / 1000.0;
+}
 
 class configuration {
 public:
@@ -176,6 +183,59 @@ double cap_distance(const cluster_model& model, const configuration& a,
 // (the paper counts identical locations and normalizes; this is 1 − that).
 double placement_distance(const cluster_model& model, const configuration& a,
                           const configuration& b);
+
+// Section IV-B's pruning distance to one ideal configuration,
+// cap_distance(model, c, ideal, ideal) + placement_distance(model, c, ideal),
+// bit for bit, for a parent and its children. set_parent() keeps the
+// parent's per-VM terms w/Σw·(c − c*)² and same-host flags in model.vms()
+// order; a child that changes one VM's placement is then scored by
+// substituting that VM's term and flag into the same left fold, so ranking
+// a parent's children builds none of them (child_distance in action.h maps
+// an action to the placement it changes).
+class ideal_distance {
+public:
+    ideal_distance(const cluster_model& model, const configuration& ideal);
+
+    void set_parent(const configuration& parent);
+    // The distance of the configuration last given to set_parent.
+    [[nodiscard]] double of_parent() const {
+        return total(prefix_.back(), same_count_);
+    }
+    // The distance of that configuration with `vm` placed at `p` instead
+    // (nullopt: dormant).
+    [[nodiscard]] double of_child(vm_id vm, const std::optional<vm_placement>& p) const {
+        MISTRAL_CHECK(vm.valid() && vm.index() < terms_.size());
+        const std::size_t k = vm.index();
+        double sum = prefix_[k] + term(k, p);
+        for (std::size_t i = k + 1; i < terms_.size(); ++i) sum += terms_[i];
+        return total(sum, same_count_ - same_[k] + (same(k, p) ? 1 : 0));
+    }
+
+private:
+    [[nodiscard]] double term(std::size_t i, const std::optional<vm_placement>& p) const {
+        const double d = (p ? p->cpu_cap : 0.0) - ideal_cap_[i];
+        return weight_[i] * d * d;
+    }
+    [[nodiscard]] bool same(std::size_t i, const std::optional<vm_placement>& p) const {
+        return p ? p->host == ideal_host_[i] : !ideal_host_[i].valid();
+    }
+    [[nodiscard]] double total(double sum, std::size_t same) const {
+        return std::sqrt(sum) + (1.0 - static_cast<double>(same) /
+                                           static_cast<double>(terms_.size()));
+    }
+
+    // Per VM, from the ideal: cap_distance's weight over the weights' sum,
+    // the cap (0 when dormant) and the host (invalid when dormant).
+    std::vector<double> weight_;
+    std::vector<double> ideal_cap_;
+    std::vector<host_id> ideal_host_;
+    // Per VM, from the parent: its term and same-host flag, and the fold of
+    // the terms before it (prefix_[n] is the whole sum).
+    std::vector<double> terms_;
+    std::vector<std::uint8_t> same_;
+    std::vector<double> prefix_;
+    std::size_t same_count_ = 0;
+};
 
 }  // namespace mistral::cluster
 

@@ -259,34 +259,10 @@ search_result adaptation_search::find(const configuration& current,
     }
     const double ideal_rate = ideal.utility_rate;
 
-    // Pruning distance to the ideal configuration, with cap_distance's
-    // ideal-derived VM weights hoisted: they depend only on `ideal`, so
-    // computing them per child (as the free function does) repeats identical
-    // work thousands of times per decision. Same accumulation order, so the
-    // result is bit-identical to cap_distance + placement_distance.
-    std::vector<double> prune_weights(model.vm_count(), 0.05);
-    double prune_weight_sum = 0.0;
-    for (const auto& desc : model.vms()) {
-        const auto& p = ideal.ideal.placement(desc.vm);
-        if (p) prune_weights[desc.vm.index()] = p->cpu_cap;
-        prune_weight_sum += prune_weights[desc.vm.index()];
-    }
-    auto prune_distance = [&](const configuration& c) -> double {
-        double sum = 0.0;
-        std::size_t same = 0;
-        for (const auto& desc : model.vms()) {
-            const auto& pa = c.placement(desc.vm);
-            const auto& pb = ideal.ideal.placement(desc.vm);
-            const double ca = pa ? pa->cpu_cap : 0.0;
-            const double cb = pb ? pb->cpu_cap : 0.0;
-            sum += prune_weights[desc.vm.index()] / prune_weight_sum *
-                   (ca - cb) * (ca - cb);
-            same += ((!pa && !pb) || (pa && pb && pa->host == pb->host)) ? 1 : 0;
-        }
-        return std::sqrt(sum) +
-               (1.0 - static_cast<double>(same) /
-                          static_cast<double>(model.vm_count()));
-    };
+    // Pruning distance to the ideal configuration (cap_distance +
+    // placement_distance, bit for bit), scored from each pruning parent's
+    // per-VM terms.
+    cluster::ideal_distance distance(model, ideal.ideal);
 
     auto allowed = [&](const configuration& c, const action& a) -> bool {
         if (!options_.app_hosts.empty()) {
@@ -340,8 +316,8 @@ search_result adaptation_search::find(const configuration& current,
     std::unordered_map<std::size_t, double, vertex_config_hash, vertex_config_equal>
         best_seen(0, vertex_config_hash{&graph}, vertex_config_equal{&graph});
 
-    // Receives each drafted or ranked child's configuration in turn; only
-    // the children whose vertices keep a configuration are copied out.
+    // Receives each drafted child's configuration in turn; only the
+    // children whose vertices keep a configuration are copied out.
     configuration scratch;
 
     vertex root;
@@ -665,24 +641,30 @@ search_result adaptation_search::find(const configuration& current,
         meter.charge(acts.size());
 
         // The children to draft, in recording order: all of them, or under
-        // pruning the ones closest to the ideal configuration. The distance
-        // reads only the child's configuration, so ranking applies each
-        // action to the scratch configuration and drafts nothing it drops.
+        // pruning the ones closest to the ideal configuration. Each child's
+        // distance comes from the parent's terms and the one placement its
+        // action changes (enumerate_actions established applicability), so
+        // ranking builds no child and drafts nothing it drops.
         drafted.clear();
         if (prune_mode) {
             stats.pruned = true;
+            distance.set_parent(vc);
             ranked.clear();
             for (std::size_t j = 0; j < acts.size(); ++j) {
                 // A kind the cost table lacks throws here, as drafting would.
                 cost_of(acts[j]);
-                cluster::apply_into(model, vc, acts[j], scratch);
-                ranked.push_back({prune_distance(scratch), j});
+                ranked.push_back({cluster::child_distance(model, vc, acts[j], distance), j});
             }
-            std::sort(ranked.begin(), ranked.end());
+            // keep ≤ acts.size(), since the fraction is at most 1. The
+            // (distance, action) pairs are unique, so the kept prefix and its
+            // order are the ones a full sort gives.
             const std::size_t keep = std::max<std::size_t>(
                 1, static_cast<std::size_t>(
                        std::ceil(options_.prune_keep_fraction *
                                  static_cast<double>(acts.size()))));
+            std::partial_sort(ranked.begin(),
+                              ranked.begin() + static_cast<std::ptrdiff_t>(keep),
+                              ranked.end());
             for (std::size_t i = 0; i < keep; ++i) drafted.push_back(ranked[i].second);
         } else {
             for (std::size_t j = 0; j < acts.size(); ++j) drafted.push_back(j);
