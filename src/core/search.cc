@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <deque>
 #include <limits>
+#include <memory_resource>
 #include <optional>
 #include <queue>
 #include <unordered_map>
@@ -114,6 +115,10 @@ struct vertex_config_equal {
 
 constexpr std::size_t action_kind_count =
     static_cast<std::size_t>(cluster::action_kind::power_off) + 1;
+
+// best_seen's initial bucket count and its node arena's first block.
+constexpr std::size_t best_seen_buckets = 4096;
+constexpr std::size_t best_seen_arena_bytes = 64 * 1024;
 }  // namespace
 
 adaptation_search::adaptation_search(const cluster::cluster_model& model,
@@ -313,8 +318,12 @@ search_result adaptation_search::find(const configuration& current,
     std::priority_queue<heap_entry> open;
     // Best utility recorded per configuration (non-terminal vertices), keyed
     // by the index of the first vertex recorded with that configuration.
-    std::unordered_map<std::size_t, double, vertex_config_hash, vertex_config_equal>
-        best_seen(0, vertex_config_hash{&graph}, vertex_config_equal{&graph});
+    // Entries are never erased, so their nodes come from an arena released
+    // whole when find() returns.
+    std::pmr::monotonic_buffer_resource best_seen_arena(best_seen_arena_bytes);
+    std::pmr::unordered_map<std::size_t, double, vertex_config_hash, vertex_config_equal>
+        best_seen(best_seen_buckets, vertex_config_hash{&graph},
+                  vertex_config_equal{&graph}, &best_seen_arena);
 
     // Receives each drafted child's configuration in turn; only the
     // children whose vertices keep a configuration are copied out.
