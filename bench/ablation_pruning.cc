@@ -8,9 +8,9 @@
 // With --json the binary prints each row's keep fraction, mean and max
 // search seconds, actions and cumulative utility instead, at the precision
 // the table prints them — the "ablation_pruning" section of
-// BENCH_paper.json, which CI compares exactly. The sweep keeps from one
-// child per pruning expansion (0.02) to all of them (1.0), so the check
-// also pins both edges of the kept prefix:
+// BENCH_paper.json, which CI compares exactly. The sweep keeps from as
+// few as one child of a pruning expansion (0.02) to all of them (1.0), so
+// the check also pins both edges of the kept prefix:
 //
 //   ./build/bench/ablation_pruning --json | python3 bench/paper_check.py ablation_pruning
 #include <cstdio>
