@@ -7,17 +7,31 @@
 // over-provisioned baselines and briefly violates at the peaks, the cost-
 // blind strategies spike during their adaptation storms, and Mistral draws
 // the least power by consolidating onto fewer hosts.
+//
+// With --json the binary prints each strategy's run-summary row (mean power,
+// both violation percentages, actions, invocations) instead, at the
+// precision the table prints it — the "fig08" section of BENCH_paper.json,
+// which CI compares exactly. All three baselines run the Perf-Pwr optimizer
+// (Perf-Pwr its gradient, Perf-Cost its packer with per-app host pools,
+// Pwr-Cost optimize_meeting_targets), so the section pins them too:
+//
+//   ./build/bench/fig08_strategy_comparison --json | python3 bench/paper_check.py fig08
+#include <cstdio>
 #include <iostream>
 #include <memory>
+#include <string>
 
 #include "bench_util.h"
 #include "common/time_series.h"
 
 using namespace mistral;
 
-int main() {
-    bench::print_header("Fig. 8 — comparison of control strategies",
-                        "response times (ms) and power (W), 15:00-21:30");
+int main(int argc, char** argv) {
+    const bool json = argc > 1 && std::string(argv[1]) == "--json";
+    if (!json) {
+        bench::print_header("Fig. 8 — comparison of control strategies",
+                            "response times (ms) and power (W), 15:00-21:30");
+    }
 
     auto scn = core::make_rubis_scenario({.host_count = 4, .app_count = 2});
     const auto& costs = bench::measured_costs();
@@ -44,6 +58,25 @@ int main() {
             power.series(r.strategy_name).add(hours, srcp->samples()[i].value);
         }
         results.push_back(std::move(r));
+    }
+
+    if (json) {
+        std::string out = "{\n  \"strategies\": [\n";
+        for (std::size_t i = 0; i < results.size(); ++i) {
+            const auto& r = results[i];
+            out += "    {\"strategy\": \"" + r.strategy_name +
+                   "\", \"mean_power_w\": " + table_printer::fmt(r.mean_power, 1) +
+                   ", \"violation_r1_pct\": " +
+                   table_printer::fmt(100.0 * r.violation_fraction[0], 1) +
+                   ", \"violation_r2_pct\": " +
+                   table_printer::fmt(100.0 * r.violation_fraction[1], 1) +
+                   ", \"actions\": " + std::to_string(r.total_actions) +
+                   ", \"invocations\": " + std::to_string(r.invocations) + "}" +
+                   (i + 1 < results.size() ? ",\n" : "\n");
+        }
+        out += "  ]\n}\n";
+        std::fputs(out.c_str(), stdout);
+        return 0;
     }
 
     std::cout << "\n(a) RUBiS-1 response time (ms); time in hours of day\n";

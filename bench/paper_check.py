@@ -3,6 +3,7 @@
 
     ./build/bench/table1_scalability --json | python3 bench/paper_check.py table1
     ./build/bench/table1_scalability --json | python3 bench/paper_check.py table1 --write
+    ./build/bench/fig08_strategy_comparison --json | python3 bench/paper_check.py fig08
     ./build/bench/fig10_search_cost --json | python3 bench/paper_check.py fig10
     ./build/bench/fig09_cumulative_utility --json | python3 bench/paper_check.py fig09
     ./build/bench/ablation_pruning --json | python3 bench/paper_check.py ablation_pruning
