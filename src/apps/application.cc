@@ -32,26 +32,22 @@ application_spec::application_spec(std::string name, std::vector<tier_spec> tier
         MISTRAL_CHECK(t.memory_mb > 0.0);
         MISTRAL_CHECK(t.threads >= 1);
     }
+    // Summed over the transactions in order, as the sums were when each call
+    // recomputed them, so the values are bit-identical.
+    for (std::size_t tier = 0; tier < tiers_.size(); ++tier) {
+        seconds demand = 0.0;
+        double visits = 0.0;
+        for (const auto& tx : transactions_) {
+            demand += tx.mix * tx.visits[tier] * tx.demand[tier];
+            visits += tx.mix * tx.visits[tier];
+        }
+        mean_tier_demand_.push_back(demand);
+        mean_tier_visits_.push_back(visits);
+    }
 }
 
 seconds application_spec::target_response_time(req_per_sec /*rate*/) const {
     return target_rt_;
-}
-
-seconds application_spec::mean_tier_demand(std::size_t tier) const {
-    MISTRAL_CHECK(tier < tiers_.size());
-    seconds total = 0.0;
-    for (const auto& tx : transactions_) {
-        total += tx.mix * tx.visits[tier] * tx.demand[tier];
-    }
-    return total;
-}
-
-double application_spec::mean_tier_visits(std::size_t tier) const {
-    MISTRAL_CHECK(tier < tiers_.size());
-    double total = 0.0;
-    for (const auto& tx : transactions_) total += tx.mix * tx.visits[tier];
-    return total;
 }
 
 }  // namespace mistral::apps

@@ -57,16 +57,27 @@ public:
 
     // Mix-weighted total CPU demand per request at tier t (visits × demand),
     // i.e. the expected CPU seconds tier t spends on one incoming request.
-    [[nodiscard]] seconds mean_tier_demand(std::size_t tier) const;
+    // Computed once by the constructor: the LQN passes read it per replica
+    // of every solve.
+    [[nodiscard]] seconds mean_tier_demand(std::size_t tier) const {
+        MISTRAL_CHECK(tier < tiers_.size());
+        return mean_tier_demand_[tier];
+    }
 
-    // Mix-weighted total visits into tier t per request.
-    [[nodiscard]] double mean_tier_visits(std::size_t tier) const;
+    // Mix-weighted total visits into tier t per request; computed once, like
+    // mean_tier_demand.
+    [[nodiscard]] double mean_tier_visits(std::size_t tier) const {
+        MISTRAL_CHECK(tier < tiers_.size());
+        return mean_tier_visits_[tier];
+    }
 
 private:
     std::string name_;
     std::vector<tier_spec> tiers_;
     std::vector<transaction_type> transactions_;
     seconds target_rt_;
+    std::vector<seconds> mean_tier_demand_;  // per tier
+    std::vector<double> mean_tier_visits_;   // per tier
 };
 
 }  // namespace mistral::apps
