@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <array>
+#include <span>
 #include <sstream>
+#include <vector>
 
 #include "common/check.h"
 
@@ -60,7 +62,7 @@ int deployed_replicas(const cluster_model& model, const configuration& config,
 
 // Per-host memory already committed, when the caller has precomputed it for
 // a whole batch of checks (enumerate_actions); nullptr recomputes on demand.
-using host_memory = std::vector<double>;
+using host_memory = std::span<const double>;
 
 bool host_has_room(const cluster_model& model, const configuration& config,
                    host_id host, double extra_memory_mb,
@@ -340,17 +342,26 @@ double child_distance(const cluster_model& model, const configuration& parent,
         a);
 }
 
-std::vector<action> enumerate_actions(const cluster_model& model,
-                                      const configuration& config,
-                                      const action_menu& menu) {
-    std::vector<action> out;
+void enumerate_actions(const cluster_model& model, const configuration& config,
+                       const action_menu& menu, std::vector<action>& out) {
+    out.clear();
     // One memory pass up front; every migrate/add_replica probe below would
-    // otherwise rescan the whole VM inventory per target host.
-    host_memory memory(model.host_count(), 0.0);
+    // otherwise rescan the whole VM inventory per target host. Clusters of up
+    // to inline_hosts hosts sum on the stack, as structurally_valid does.
+    constexpr std::size_t inline_hosts = 64;
+    std::array<double, inline_hosts> inline_memory{};
+    std::vector<double> heap_memory;
+    std::span<double> sums(inline_memory.data(),
+                           std::min(model.host_count(), inline_hosts));
+    if (model.host_count() > inline_hosts) {
+        heap_memory.assign(model.host_count(), 0.0);
+        sums = heap_memory;
+    }
     for (const auto& desc : model.vms()) {
         const auto& p = config.placement(desc.vm);
-        if (p) memory[p->host.index()] += desc.memory_mb;
+        if (p) sums[p->host.index()] += desc.memory_mb;
     }
+    const host_memory memory = sums;
     auto offer = [&](action a) {
         if (applicable_impl(model, config, a, &memory, nullptr)) {
             out.push_back(std::move(a));
@@ -410,6 +421,13 @@ std::vector<action> enumerate_actions(const cluster_model& model,
             }
         }
     }
+}
+
+std::vector<action> enumerate_actions(const cluster_model& model,
+                                      const configuration& config,
+                                      const action_menu& menu) {
+    std::vector<action> out;
+    enumerate_actions(model, config, menu, out);
     return out;
 }
 

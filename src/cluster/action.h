@@ -126,7 +126,11 @@ struct action_menu {
 // reductions: only the lowest-index dormant replica of a tier is offered for
 // add_replica and only the highest-index deployed one for remove_replica;
 // only the first powered-off host is offered for power_on (hosts are
-// interchangeable).
+// interchangeable). The buffer form replaces `out`'s contents with the same
+// actions in the same order, reusing its capacity, so the search enumerates
+// every expansion into one vector.
+void enumerate_actions(const cluster_model& model, const configuration& config,
+                       const action_menu& menu, std::vector<action>& out);
 std::vector<action> enumerate_actions(const cluster_model& model,
                                       const configuration& config,
                                       const action_menu& menu = {});

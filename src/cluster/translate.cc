@@ -4,32 +4,38 @@
 
 namespace mistral::cluster {
 
-std::vector<lqn::app_deployment> to_lqn(const cluster_model& model,
-                                        const configuration& config,
-                                        const std::vector<req_per_sec>& rates) {
+void to_lqn(const cluster_model& model, const configuration& config,
+            const std::vector<req_per_sec>& rates,
+            std::vector<lqn::app_deployment>& out) {
     MISTRAL_CHECK_MSG(rates.size() == model.app_count(),
                       "expected " << model.app_count() << " rates, got " << rates.size());
-    std::vector<lqn::app_deployment> out;
-    out.reserve(model.app_count());
+    out.resize(model.app_count());
     for (std::size_t a = 0; a < model.app_count(); ++a) {
         const app_id app{static_cast<std::int32_t>(a)};
-        lqn::app_deployment dep;
+        auto& dep = out[a];
         dep.spec = &model.app(app);
         dep.rate = rates[a];
         dep.tiers.resize(dep.spec->tier_count());
         for (std::size_t t = 0; t < dep.spec->tier_count(); ++t) {
+            auto& replicas = dep.tiers[t].replicas;
+            replicas.clear();
             for (vm_id vm : model.tier_vms(app, t)) {
                 const auto& p = config.placement(vm);
                 if (!p) continue;
-                dep.tiers[t].replicas.push_back(
-                    {.host = p->host.index(), .cpu_cap = p->cpu_cap});
+                replicas.push_back({.host = p->host.index(), .cpu_cap = p->cpu_cap});
             }
-            MISTRAL_CHECK_MSG(!dep.tiers[t].replicas.empty(),
-                              dep.spec->name() << " tier " << t
-                                               << " has no deployed replicas");
+            MISTRAL_CHECK_MSG(!replicas.empty(), dep.spec->name()
+                                                     << " tier " << t
+                                                     << " has no deployed replicas");
         }
-        out.push_back(std::move(dep));
     }
+}
+
+std::vector<lqn::app_deployment> to_lqn(const cluster_model& model,
+                                        const configuration& config,
+                                        const std::vector<req_per_sec>& rates) {
+    std::vector<lqn::app_deployment> out;
+    to_lqn(model, config, rates, out);
     return out;
 }
 

@@ -17,7 +17,13 @@ namespace mistral::cluster {
 
 // The LQN view of `config` with one entry per application; `rates` is the
 // per-application workload vector W. Requires a structurally valid
-// configuration (every tier deployed somewhere).
+// configuration (every tier deployed somewhere). The buffer form refills
+// `out`, whatever it held, reusing its tier and replica vectors, so a caller
+// that keeps one deployment vector across evaluations allocates nothing once
+// it has grown to the cluster's replica counts.
+void to_lqn(const cluster_model& model, const configuration& config,
+            const std::vector<req_per_sec>& rates,
+            std::vector<lqn::app_deployment>& out);
 std::vector<lqn::app_deployment> to_lqn(const cluster_model& model,
                                         const configuration& config,
                                         const std::vector<req_per_sec>& rates);

@@ -27,29 +27,34 @@ void app_solve_cache::insert(app_signature sig, lqn::app_result value) {
     entries_.insert_or_assign(std::move(sig), std::move(value));
 }
 
-app_signature make_app_signature(std::size_t app, std::int64_t rate_key,
-                                 const lqn::app_deployment& dep,
-                                 const std::vector<double>& inflation) {
-    app_signature sig;
+void make_app_signature(std::size_t app, std::int64_t rate_key,
+                        const lqn::app_deployment& dep,
+                        const std::vector<double>& inflation, app_signature& out) {
+    auto& words = out.words;
     std::size_t n = 2;
     for (const auto& tier : dep.tiers) n += 1 + 2 * tier.replicas.size();
-    sig.words.reserve(n);
-    sig.words.push_back(app);
-    sig.words.push_back(static_cast<std::uint64_t>(rate_key));
+    words.clear();
+    words.reserve(n);
+    words.push_back(app);
+    words.push_back(static_cast<std::uint64_t>(rate_key));
     for (const auto& tier : dep.tiers) {
-        sig.words.push_back(tier.replicas.size());
+        words.push_back(tier.replicas.size());
         for (const auto& rep : tier.replicas) {
             // Caps are multiples of 1e-3 (configuration rounds on write), so
             // the milli count pins the cap's exact double bits; inflation is
             // an arbitrary double and is keyed by bit pattern directly.
-            sig.words.push_back(static_cast<std::uint64_t>(
+            words.push_back(static_cast<std::uint64_t>(
                 static_cast<std::int64_t>(std::llround(rep.cpu_cap * 1000.0))));
-            std::uint64_t bits;
-            static_assert(sizeof(bits) == sizeof(double));
-            __builtin_memcpy(&bits, &inflation[rep.host], sizeof(bits));
-            sig.words.push_back(bits);
+            words.push_back(std::bit_cast<std::uint64_t>(inflation[rep.host]));
         }
     }
+}
+
+app_signature make_app_signature(std::size_t app, std::int64_t rate_key,
+                                 const lqn::app_deployment& dep,
+                                 const std::vector<double>& inflation) {
+    app_signature sig;
+    make_app_signature(app, rate_key, dep, inflation, sig);
     return sig;
 }
 
@@ -142,25 +147,26 @@ steady_utility serial_evaluator::evaluate(const cluster::configuration& config) 
     ++stats_.cache_misses;
     ++stats_.evaluations;
     obs_solves_.add();
-    const auto deps = cluster::to_lqn(*model_, config, rates_);
-    const auto loads = lqn::compute_host_loads(deps, model_->host_count(), lqn_);
-    std::vector<lqn::app_result> apps(deps.size());
-    for (std::size_t a = 0; a < deps.size(); ++a) {
-        auto sig = make_app_signature(a, rate_key_[a], deps[a], loads.inflation);
-        if (const auto* hit = app_cache_.find(sig)) {
+    cluster::to_lqn(*model_, config, rates_, deps_);
+    lqn::compute_host_loads(deps_, model_->host_count(), lqn_, loads_);
+    apps_.resize(deps_.size());
+    for (std::size_t a = 0; a < deps_.size(); ++a) {
+        make_app_signature(a, rate_key_[a], deps_[a], loads_.inflation, probe_);
+        if (const auto* hit = app_cache_.find(probe_)) {
             ++stats_.app_cache_hits;
             obs_app_hits_.add();
-            apps[a] = *hit;
+            // Copied out before the next insert, which may clear the cache.
+            apps_[a] = *hit;
             continue;
         }
         ++stats_.app_cache_misses;
         ++stats_.app_solves;
         obs_app_misses_.add();
         obs_app_solves_.add();
-        apps[a] = lqn::solve_app(deps[a], loads.inflation, lqn_);
-        app_cache_.insert(std::move(sig), apps[a]);
+        lqn::solve_app(deps_[a], loads_.inflation, lqn_, apps_[a]);
+        app_cache_.insert(probe_, apps_[a]);
     }
-    return assemble(config, apps, loads.utilization);
+    return assemble(config, apps_, loads_.utilization);
 }
 
 std::vector<steady_utility> serial_evaluator::evaluate_batch(
@@ -189,24 +195,47 @@ seconds serial_evaluator::isolated_response_time(
     // inflation, is its one replica's, whichever other apps are sized
     // alongside. Solving the app on hosts of its own is therefore
     // bit-identical to the whole sizing's joint lqn::solve.
-    std::vector<lqn::app_deployment> dep(1);
-    dep[0].spec = &spec;
-    dep[0].rate = rates_[a];
-    dep[0].tiers.resize(spec.tier_count());
+    auto& dep = isolated_dep_[0];
+    dep.spec = &spec;
+    dep.rate = rates_[a];
+    dep.tiers.resize(spec.tier_count());
     std::size_t fake_host = 0;
     for (std::size_t t = 0; t < spec.tier_count(); ++t) {
+        auto& replicas = dep.tiers[t].replicas;
+        replicas.clear();
         for (int r = 0; r < tiers[t].replicas; ++r) {
-            dep[0].tiers[t].replicas.push_back({fake_host++, tiers[t].cap});
+            replicas.push_back({fake_host++, tiers[t].cap});
         }
     }
-    const auto loads = lqn::compute_host_loads(dep, fake_host, lqn_);
-    const seconds rt = lqn::solve_app(dep[0], loads.inflation, lqn_).mean_response_time;
+    lqn::compute_host_loads(isolated_dep_, fake_host, lqn_, isolated_loads_);
+    lqn::solve_app(dep, isolated_loads_.inflation, lqn_, isolated_result_);
+    const seconds rt = isolated_result_.mean_response_time;
     ++stats_.isolated_solves;
     isolated_rt_.emplace(isolated_key_, rt);
     return rt;
 }
 
-isolated_perf serial_evaluator::evaluate_isolated(const app_sizing& s) {
+namespace {
+
+// Equal replica counts and equal cap bits in every tier: the isolated
+// table's key equality.
+bool same_sizing(const std::vector<tier_sizing>& x, const std::vector<tier_sizing>& y) {
+    if (x.size() != y.size()) return false;
+    for (std::size_t t = 0; t < x.size(); ++t) {
+        if (x[t].replicas != y[t].replicas ||
+            std::bit_cast<std::uint64_t>(x[t].cap) !=
+                std::bit_cast<std::uint64_t>(y[t].cap)) {
+            return false;
+        }
+    }
+    return true;
+}
+
+}  // namespace
+
+isolated_perf serial_evaluator::score_isolated(const app_sizing& s,
+                                               const app_sizing* base,
+                                               const isolated_perf* base_perf) {
     MISTRAL_CHECK_MSG(!rates_.empty(), "begin_decision() before evaluate_isolated()");
     MISTRAL_CHECK(s.size() == model_->app_count());
     ++stats_.evaluations;
@@ -214,7 +243,9 @@ isolated_perf serial_evaluator::evaluate_isolated(const app_sizing& s) {
     isolated_perf out;
     out.response_times.reserve(model_->app_count());
     for (std::size_t a = 0; a < model_->app_count(); ++a) {
-        const seconds rt = isolated_response_time(a, s[a]);
+        const seconds rt = base != nullptr && same_sizing(s[a], (*base)[a])
+                               ? base_perf->response_times[a]
+                               : isolated_response_time(a, s[a]);
         out.response_times.push_back(rt);
         out.perf_rate += utility_.perf_rate(rates_[a], rt, targets_[a]);
         if (rt > targets_[a]) out.meets_all_targets = false;
@@ -222,11 +253,21 @@ isolated_perf serial_evaluator::evaluate_isolated(const app_sizing& s) {
     return out;
 }
 
+isolated_perf serial_evaluator::evaluate_isolated(const app_sizing& s) {
+    return score_isolated(s, nullptr, nullptr);
+}
+
 std::vector<isolated_perf> serial_evaluator::evaluate_isolated_batch(
     const std::vector<app_sizing>& sizings) {
+    // A gradient step's candidates each change one (app, tier) of the base
+    // sizing in sizings[0], so every other app reuses the base's result.
     std::vector<isolated_perf> out;
     out.reserve(sizings.size());
-    for (const auto& s : sizings) out.push_back(evaluate_isolated(s));
+    for (const auto& s : sizings) {
+        auto perf = out.empty() ? score_isolated(s, nullptr, nullptr)
+                                : score_isolated(s, &sizings[0], &out[0]);
+        out.push_back(std::move(perf));
+    }
     return out;
 }
 

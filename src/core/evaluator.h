@@ -171,7 +171,11 @@ private:
 
 // The signature of app `a` within a translated deployment (exposed for
 // tests). `rate_key` is the bit pattern of the app's request rate;
-// `inflation` is lqn::compute_host_loads(...).inflation.
+// `inflation` is lqn::compute_host_loads(...).inflation. The buffer form
+// overwrites `out`, reusing its words: the evaluator's probe key.
+void make_app_signature(std::size_t app, std::int64_t rate_key,
+                        const lqn::app_deployment& dep,
+                        const std::vector<double>& inflation, app_signature& out);
 [[nodiscard]] app_signature make_app_signature(
     std::size_t app, std::int64_t rate_key, const lqn::app_deployment& dep,
     const std::vector<double>& inflation);
@@ -258,6 +262,12 @@ private:
     // table hit, or one lqn::solve_app on the app's own synthetic hosts.
     [[nodiscard]] seconds isolated_response_time(
         std::size_t a, const std::vector<tier_sizing>& tiers);
+    // The isolated view of sizing `s`. With a `base` sizing and its result,
+    // an app sized bit-equal to the base's takes the base's response time
+    // (what its table lookup would return) without probing the table.
+    [[nodiscard]] isolated_perf score_isolated(const app_sizing& s,
+                                               const app_sizing* base,
+                                               const isolated_perf* base_perf);
     // Folds per-app solve results and host utilizations into a
     // steady_utility: power first, then the per-app perf terms in app order.
     // Pure.
@@ -283,6 +293,18 @@ private:
     // decisions share an ideal, so a longer life would buy nothing.
     std::unordered_map<app_signature, seconds, app_signature_hash> isolated_rt_;
     app_signature isolated_key_;  // the probe key, reused across lookups
+    // Workspaces, refilled by every call so that an evaluation allocates
+    // only what it returns or caches: the steady path's deployments, host
+    // loads, per-app signature probe and per-app result slots, and the
+    // isolated path's one-app deployment, synthetic-host loads and result.
+    std::vector<lqn::app_deployment> deps_;
+    lqn::host_loads loads_;
+    app_signature probe_;
+    std::vector<lqn::app_result> apps_;
+    std::vector<lqn::app_deployment> isolated_dep_ =
+        std::vector<lqn::app_deployment>(1);
+    lqn::host_loads isolated_loads_;
+    lqn::app_result isolated_result_;
     evaluation_stats stats_;
     // Disabled (one-branch no-op) handles unless the options' sink carries a
     // metrics registry. Recorded alongside stats_, which stays the exact

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <optional>
 #include <utility>
 
 #include "common/check.h"
@@ -26,20 +25,35 @@ double total_allocation(const sizing& s) {
     return sum;
 }
 
-// Worst-fit-decreasing bin packing of the sizing's replicas onto at most
-// `host_limit` hosts, honouring any per-app host restriction. Returns the
-// packed configuration, or nullopt when it does not fit.
-std::optional<cluster::configuration> pack(
-    const cluster::cluster_model& model, const sizing& s, std::size_t host_limit,
-    const std::vector<std::vector<bool>>& app_hosts,
-    const cluster::configuration* reference) {
+// The packer's buffers. One optimize() call packs through one workspace, so
+// an attempt refills its items and bins instead of allocating them.
+struct pack_workspace {
     struct item {
         vm_id vm;
         std::size_t app;
         fraction cap;
         double memory;
+        std::size_t host = 0;  // where a pack that fit put it
+    };
+    struct bin {
+        bool open = false;
+        fraction cap_free = 0.0;
+        double mem_free = 0.0;
+        int slots_free = 0;
     };
     std::vector<item> items;
+    std::vector<bin> bins;
+};
+
+// Worst-fit-decreasing bin packing of the sizing's replicas onto at most
+// `host_limit` hosts, honouring any per-app host restriction. Returns false
+// when it does not fit; otherwise every item of `ws` records its host.
+bool pack(const cluster::cluster_model& model, const sizing& s, std::size_t host_limit,
+          const std::vector<std::vector<bool>>& app_hosts,
+          const cluster::configuration* reference, pack_workspace& ws) {
+    using item = pack_workspace::item;
+    auto& items = ws.items;
+    items.clear();
     for (std::size_t a = 0; a < model.app_count(); ++a) {
         const app_id app{static_cast<std::int32_t>(a)};
         for (std::size_t t = 0; t < model.app(app).tier_count(); ++t) {
@@ -53,14 +67,8 @@ std::optional<cluster::configuration> pack(
     std::sort(items.begin(), items.end(),
               [](const item& x, const item& y) { return x.cap > y.cap; });
 
-    struct bin {
-        bool open = false;
-        fraction cap_free = 0.0;
-        double mem_free = 0.0;
-        int slots_free = 0;
-    };
-    std::vector<bin> bins(model.host_count());
-    std::vector<std::vector<std::pair<vm_id, fraction>>> contents(model.host_count());
+    auto& bins = ws.bins;
+    bins.assign(model.host_count(), {});
     const auto& limits = model.limits();
     std::size_t opened = 0;
 
@@ -90,7 +98,7 @@ std::optional<cluster::configuration> pack(
         return p ? p->host.value : -1;
     };
 
-    for (const auto& it : items) {
+    for (auto& it : items) {
         int best = -1;
         // Placement stability first: keep the VM where the reference has it
         // whenever that host is (or can be) open and fits.
@@ -109,7 +117,7 @@ std::optional<cluster::configuration> pack(
         // ...otherwise open a new empty (allowed) host, if any remain;
         // prefer hosts the reference already has powered on (no boot).
         if (best < 0) {
-            if (opened >= host_limit) return std::nullopt;
+            if (opened >= host_limit) return false;
             for (int pass = 0; pass < 2 && best < 0; ++pass) {
                 for (std::size_t h = 0; h < bins.size(); ++h) {
                     if (bins[h].open || !host_allowed(it.app, h)) continue;
@@ -122,16 +130,22 @@ std::optional<cluster::configuration> pack(
                     break;
                 }
             }
-            if (best < 0) return std::nullopt;
-            if (!bin_fits(static_cast<std::size_t>(best), it)) return std::nullopt;
+            if (best < 0) return false;
+            if (!bin_fits(static_cast<std::size_t>(best), it)) return false;
         }
         auto& b = bins[static_cast<std::size_t>(best)];
         b.cap_free -= it.cap;
         b.mem_free -= it.memory;
         b.slots_free -= 1;
-        contents[static_cast<std::size_t>(best)].push_back({it.vm, it.cap});
+        it.host = static_cast<std::size_t>(best);
     }
+    return true;
+}
 
+// The configuration of the last pack of `ws` that fit.
+cluster::configuration packed_configuration(const cluster::cluster_model& model,
+                                            const pack_workspace& ws,
+                                            const cluster::configuration* reference) {
     cluster::configuration config(model.vm_count(), model.host_count());
     if (reference) {
         // Carry the failure marks so `ideal == current` can hold (and the
@@ -141,11 +155,14 @@ std::optional<cluster::configuration> pack(
             if (reference->host_failed(host)) config.set_host_failed(host, true);
         }
     }
-    for (std::size_t h = 0; h < bins.size(); ++h) {
-        if (!bins[h].open) continue;
+    for (std::size_t h = 0; h < ws.bins.size(); ++h) {
         const host_id host{static_cast<std::int32_t>(h)};
-        config.set_host_power(host, true);
-        for (const auto& [vm, cap] : contents[h]) config.deploy(vm, host, cap);
+        if (ws.bins[h].open) config.set_host_power(host, true);
+    }
+    // A configuration is a value over its placements, so deploying in item
+    // order gives what deploying host by host gave.
+    for (const auto& it : ws.items) {
+        config.deploy(it.vm, host_id{static_cast<std::int32_t>(it.host)}, it.cap);
     }
     return config;
 }
@@ -215,36 +232,47 @@ perf_pwr_result perf_pwr_optimizer::run(const std::vector<req_per_sec>& rates,
     // The gradient's capacity-reduction granularity is the model's CPU step.
     const fraction cap_step = limits.cpu_step;
     int iterations_left = max_gradient_iterations;
+    pack_workspace pack_ws;
+    // One gradient step's sizings, batch[0] the base sizing itself. The
+    // vector lives for the whole call and every step copy-assigns into its
+    // slots, so a step reuses the sizings the previous one built.
+    std::vector<sizing> batch;
+    std::size_t batch_size = 0;
+    auto next_slot = [&]() -> sizing& {
+        if (batch_size == batch.size()) batch.emplace_back();
+        return batch[batch_size++];
+    };
     for (std::size_t hosts = model.host_count(); hosts + 1 > min_hosts; --hosts) {
         // Shrink the sizing until it packs on `hosts` hosts (or give up).
-        std::optional<cluster::configuration> packed;
+        bool packed = false;
         while (iterations_left-- > 0) {
-            packed = pack(model, s, hosts, options_.app_hosts, reference);
+            packed = pack(model, s, hosts, options_.app_hosts, reference, pack_ws);
             if (packed) break;
 
             // Gradient step: among all single reductions, take the one that
             // frees the most CPU per unit of performance utility lost. The
-            // reductions are independent, so all of one step's candidates —
-            // batch[0] is the base sizing itself — go to the engine as one
-            // batch; the best pick replays the original enumeration order.
-            std::vector<sizing> batch;
-            batch.push_back(s);
+            // reductions are independent, so all of one step's candidates
+            // go to the engine as one batch; the best pick replays the
+            // original enumeration order.
+            batch_size = 0;
+            next_slot() = s;
             for (std::size_t a = 0; a < model.app_count(); ++a) {
                 const auto& app = model.app(app_id{static_cast<std::int32_t>(a)});
                 for (std::size_t t = 0; t < app.tier_count(); ++t) {
                     const auto& tier = app.tiers()[t];
                     if (s[a][t].cap - cap_step >= tier.min_cpu_cap - 1e-9) {
-                        sizing c = s;
+                        sizing& c = next_slot();
+                        c = s;
                         c[a][t].cap -= cap_step;
-                        batch.push_back(std::move(c));
                     }
                     if (s[a][t].replicas > tier.min_replicas) {
-                        sizing c = s;
+                        sizing& c = next_slot();
+                        c = s;
                         c[a][t].replicas -= 1;
-                        batch.push_back(std::move(c));
                     }
                 }
             }
+            batch.resize(batch_size);
             const auto evals = engine.evaluate_isolated_batch(batch);
             const auto& base = evals[0];
             const double base_alloc = total_allocation(s);
@@ -261,22 +289,25 @@ perf_pwr_result perf_pwr_optimizer::run(const std::vector<req_per_sec>& rates,
                 }
             }
             if (best_candidate == 0) break;  // nothing left to shrink
-            s = std::move(batch[best_candidate]);
+            // The old base goes to the picked slot, which the next step
+            // overwrites.
+            std::swap(s, batch[best_candidate]);
         }
         if (!packed) break;  // cannot fit on this few hosts; fewer is hopeless
 
         // Score the packed configuration with the real placement and power.
-        const auto se = engine.evaluate(*packed);
+        auto config = packed_configuration(model, pack_ws, reference);
+        const auto se = engine.evaluate(config);
         if (enforce_targets && !se.meets_targets) break;
         if (se.rate > best.utility_rate) {
             best.feasible = true;
-            best.ideal = *packed;
+            best.hosts_used = config.active_host_count();
+            best.ideal = std::move(config);
             best.utility_rate = se.rate;
             best.perf_rate = se.perf_rate;
             best.power_rate = se.power_rate;
             best.power = se.power;
             best.response_times = se.response_times;
-            best.hosts_used = packed->active_host_count();
         }
         if (iterations_left <= 0) break;
     }

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <limits>
 #include <memory_resource>
 #include <optional>
@@ -328,6 +329,10 @@ search_result adaptation_search::find(const configuration& current,
     // Receives each drafted child's configuration in turn; only the
     // children whose vertices keep a configuration are copied out.
     configuration scratch;
+    // The popped vertex's actions and occupancy, refilled per expansion
+    // (and per seeded step) so that neither is reallocated.
+    std::vector<action> acts;
+    std::vector<std::uint8_t> occ;
 
     vertex root;
     root.hash = current.hash();
@@ -549,8 +554,8 @@ search_result adaptation_search::find(const configuration& current,
             }
             const seconds seed_start = profiling ? meter.elapsed() : 0.0;
             meter.on_expansion();
-            vertex c = draft_child(vc, v, at, parent_eval,
-                                   detail::occupancy(model, vc), a, scratch);
+            detail::occupancy(model, vc, occ);
+            vertex c = draft_child(vc, v, at, parent_eval, occ, a, scratch);
             // A seeded child is the next step's parent, so it keeps its
             // configuration (dropped with it if dominated).
             c.slot = graph.keep(scratch);
@@ -642,10 +647,8 @@ search_result adaptation_search::find(const configuration& current,
         // with the branching factor, i.e. with cluster size (Table I). One
         // batched charge covers the whole expansion, pruned children too.
         if (static_cast<std::size_t>(v.depth) >= options_.max_plan_actions) continue;
-        std::vector<action> acts;
-        for (const auto& a : enumerate_actions(model, vc, options_.menu)) {
-            if (allowed(vc, a)) acts.push_back(a);
-        }
+        enumerate_actions(model, vc, options_.menu, acts);
+        std::erase_if(acts, [&](const action& a) { return !allowed(vc, a); });
         if (acts.empty()) continue;
         meter.charge(acts.size());
 
@@ -681,7 +684,7 @@ search_result adaptation_search::find(const configuration& current,
 
         // Draft those children (apply + candidacy + transient accounting),
         // then value the candidates' steady states as one batch.
-        const auto occ = detail::occupancy(model, vc);
+        detail::occupancy(model, vc, occ);
         // is_candidate_child re-checks only what each child's action changed,
         // which needs a structurally valid parent; any other parent's
         // children get the full check.
@@ -689,7 +692,7 @@ search_result adaptation_search::find(const configuration& current,
         children.resize(drafted.size());
         steady_index.clear();
         steady_configs.clear();
-        engine.parallel_for(drafted.size(), [&](std::size_t k) {
+        auto draft = [&](std::size_t k) {
             const action& a = acts[drafted[k]];
             vertex c = draft_child(vc, v, idx, pe, occ, a, scratch);
             const bool candidate = parent_valid
@@ -704,7 +707,10 @@ search_result adaptation_search::find(const configuration& current,
                 value_child(c, ideal_rate);
             }
             children[k] = std::move(c);
-        });
+        };
+        // Through std::ref, std::function holds a pointer to the lambda
+        // instead of a heap copy of its captures.
+        engine.parallel_for(drafted.size(), std::ref(draft));
         if (!steady_configs.empty()) {
             const auto evals = engine.evaluate_batch(steady_configs);
             for (std::size_t i = 0; i < steady_index.size(); ++i) {

@@ -67,16 +67,22 @@ inline host_set affected_hosts(const cluster::configuration& config,
 
 // app × host occupancy bitmap of a configuration: occ[s·H + h] is nonzero
 // iff application s has a deployed VM on host h. The search computes it once
-// per expansion, so the colocation test in transient_rate is O(|touched|)
-// instead of a VM-inventory scan per (child, app).
-inline std::vector<std::uint8_t> occupancy(const cluster::cluster_model& model,
-                                           const cluster::configuration& c) {
+// per expansion, into one buffer per find(), so the colocation test in
+// transient_rate is O(|touched|) instead of a VM-inventory scan per (child,
+// app).
+inline void occupancy(const cluster::cluster_model& model,
+                      const cluster::configuration& c, std::vector<std::uint8_t>& occ) {
     const std::size_t host_count = model.host_count();
-    std::vector<std::uint8_t> occ(model.app_count() * host_count, 0);
+    occ.assign(model.app_count() * host_count, 0);
     for (const auto& desc : model.vms()) {
         const auto& p = c.placement(desc.vm);
         if (p) occ[desc.app.index() * host_count + p->host.index()] = 1;
     }
+}
+inline std::vector<std::uint8_t> occupancy(const cluster::cluster_model& model,
+                                           const cluster::configuration& c) {
+    std::vector<std::uint8_t> occ;
+    occupancy(model, c, occ);
     return occ;
 }
 

@@ -1,6 +1,7 @@
 #include "lqn/solver.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
 
@@ -54,14 +55,40 @@ replica_state replica_load(const app_deployment& app, std::size_t t,
     return st;
 }
 
+// n values of T, on the stack when n <= N and on the heap beyond: solve_app's
+// per-call tables, so solving a paper-sized app allocates nothing.
+template <typename T, std::size_t N>
+class inline_buffer {
+public:
+    inline_buffer(std::size_t n, const T& value) {
+        if (n > N) {
+            heap_.assign(n, value);
+            data_ = heap_.data();
+        } else {
+            std::fill_n(local_.data(), n, value);
+            data_ = local_.data();
+        }
+    }
+    inline_buffer(const inline_buffer&) = delete;
+    inline_buffer& operator=(const inline_buffer&) = delete;
+
+    T& operator[](std::size_t i) { return data_[i]; }
+    const T& operator[](std::size_t i) const { return data_[i]; }
+
+private:
+    std::array<T, N> local_;
+    std::vector<T> heap_;
+    T* data_ = nullptr;
+};
+
 }  // namespace
 
-host_loads compute_host_loads(const std::vector<app_deployment>& apps,
-                              std::size_t host_count,
-                              const model_options& options) {
+void compute_host_loads(const std::vector<app_deployment>& apps,
+                        std::size_t host_count, const model_options& options,
+                        host_loads& out) {
     validate(apps, host_count);
 
-    host_loads out;
+    out.overcommitted = false;
     out.demand.assign(host_count, 0.0);
     out.utilization.assign(host_count, 0.0);
     out.cap_sums.assign(host_count, 0.0);
@@ -102,26 +129,36 @@ host_loads compute_host_loads(const std::vector<app_deployment>& apps,
         out.inflation[h] = f;
         if (out.demand[h] > 1.0) out.overcommitted = true;
     }
+}
+
+host_loads compute_host_loads(const std::vector<app_deployment>& apps,
+                              std::size_t host_count,
+                              const model_options& options) {
+    host_loads out;
+    compute_host_loads(apps, host_count, options, out);
     return out;
 }
 
-app_result solve_app(const app_deployment& app,
-                     const std::vector<double>& inflation,
-                     const model_options& options) {
+void solve_app(const app_deployment& app, const std::vector<double>& inflation,
+               const model_options& options, app_result& result) {
     const auto& spec = *app.spec;
-    app_result result;
-    result.tiers.resize(app.tiers.size());
-    result.per_transaction.resize(spec.transactions().size(), 0.0);
-
     const auto tier_count = app.tiers.size();
+    const auto tx_count = spec.transactions().size();
+    result.mean_response_time = 0.0;
+    result.saturated = false;
+    result.tiers.assign(tier_count, {});
+    result.per_transaction.assign(tx_count, 0.0);
 
-    // Per-replica busy fractions and consumed CPU (pass-1 state, app-local).
-    std::vector<std::vector<replica_state>> states(tier_count);
+    // Per-replica busy fractions and consumed CPU (pass-1 state, app-local),
+    // tier after tier: tier t's replicas start at first[t].
+    inline_buffer<std::size_t, 16> first(tier_count + 1, 0);
     for (std::size_t t = 0; t < tier_count; ++t) {
-        const auto n = app.tiers[t].replicas.size();
-        states[t].resize(n);
-        for (std::size_t r = 0; r < n; ++r) {
-            states[t][r] = replica_load(app, t, r, options);
+        first[t + 1] = first[t] + app.tiers[t].replicas.size();
+    }
+    inline_buffer<replica_state, 32> states(first[tier_count], replica_state{});
+    for (std::size_t t = 0; t < tier_count; ++t) {
+        for (std::size_t r = 0; r < app.tiers[t].replicas.size(); ++r) {
+            states[first[t] + r] = replica_load(app, t, r, options);
         }
     }
 
@@ -135,17 +172,16 @@ app_result solve_app(const app_deployment& app,
         for (std::size_t r = 0; r < tier.replicas.size(); ++r) {
             const auto& rep = tier.replicas[r];
             const double service = demand / rep.cpu_cap;
-            sum += ps_response(service * inflation[rep.host], states[t][r].rho);
+            sum += ps_response(service * inflation[rep.host], states[first[t] + r].rho);
         }
         return sum / static_cast<double>(tier.replicas.size());
     };
 
-    // visit_response[t][x]: total per-visit response (thread wait +
+    // visit_response[t·X + x]: total per-visit response (thread wait +
     // holding, holding includes downstream). Filled bottom-up.
-    std::vector<std::vector<seconds>> visit_response(
-        tier_count, std::vector<seconds>(spec.transactions().size(), 0.0));
-    // holding[t][x]: thread-holding time per visit.
-    std::vector<std::vector<seconds>> holding = visit_response;
+    inline_buffer<seconds, 128> visit_response(tier_count * tx_count, 0.0);
+    // holding[t·X + x]: thread-holding time per visit.
+    inline_buffer<seconds, 128> holding(tier_count * tx_count, 0.0);
 
     for (std::size_t ti = tier_count; ti-- > 0;) {
         // Holding time per visit: own CPU response plus synchronous
@@ -158,10 +194,11 @@ app_result solve_app(const app_deployment& app,
             for (std::size_t down = ti + 1; down < tier_count; ++down) {
                 if (tx.visits[down] <= 0.0) continue;
                 const double calls = tx.visits[down] / tx.visits[ti];
-                h += calls * (2.0 * options.network_hop + visit_response[down][x]);
+                h += calls *
+                     (2.0 * options.network_hop + visit_response[down * tx_count + x]);
                 break;  // only the first downstream tier is called directly
             }
-            holding[ti][x] = std::min(h, options.max_visit_response);
+            holding[ti * tx_count + x] = std::min(h, options.max_visit_response);
         }
         // Mean holding time and thread-pool waiting at this tier.
         double flow_sum = 0.0;
@@ -171,7 +208,7 @@ app_result solve_app(const app_deployment& app,
             if (tx.visits[ti] <= 0.0) continue;
             const double flow = app.rate * tx.mix * tx.visits[ti];
             flow_sum += flow;
-            holding_sum += flow * holding[ti][x];
+            holding_sum += flow * holding[ti * tx_count + x];
         }
         const seconds mean_holding = flow_sum > 0.0 ? holding_sum / flow_sum : 0.0;
         const auto& tier = app.tiers[ti];
@@ -184,18 +221,18 @@ app_result solve_app(const app_deployment& app,
         }
         for (std::size_t x = 0; x < spec.transactions().size(); ++x) {
             if (spec.transactions()[x].visits[ti] <= 0.0) continue;
-            visit_response[ti][x] =
-                std::min(wait + holding[ti][x], options.max_visit_response);
+            visit_response[ti * tx_count + x] =
+                std::min(wait + holding[ti * tx_count + x], options.max_visit_response);
         }
         // Tier-level reporting.
         auto& tr = result.tiers[ti];
         double rho_sum = 0.0, usage_sum = 0.0;
-        for (const auto& st : states[ti]) {
-            rho_sum += st.rho;
-            usage_sum += st.cpu_usage;
-            if (st.rho >= 1.0) result.saturated = true;
+        for (std::size_t i = first[ti]; i < first[ti + 1]; ++i) {
+            rho_sum += states[i].rho;
+            usage_sum += states[i].cpu_usage;
+            if (states[i].rho >= 1.0) result.saturated = true;
         }
-        tr.utilization = rho_sum / static_cast<double>(states[ti].size());
+        tr.utilization = rho_sum / static_cast<double>(first[ti + 1] - first[ti]);
         tr.cpu_usage = usage_sum;
         tr.visit_response = mean_holding + wait;
     }
@@ -208,7 +245,8 @@ app_result solve_app(const app_deployment& app,
         seconds rt = 0.0;
         for (std::size_t t = 0; t < tier_count; ++t) {
             if (tx.visits[t] > 0.0) {
-                rt = tx.visits[t] * (2.0 * options.network_hop + visit_response[t][x]);
+                rt = tx.visits[t] *
+                     (2.0 * options.network_hop + visit_response[t * tx_count + x]);
                 break;
             }
         }
@@ -244,6 +282,13 @@ app_result solve_app(const app_deployment& app,
             }
         }
     }
+}
+
+app_result solve_app(const app_deployment& app,
+                     const std::vector<double>& inflation,
+                     const model_options& options) {
+    app_result result;
+    solve_app(app, inflation, options, result);
     return result;
 }
 
@@ -258,7 +303,7 @@ solve_result solve(const std::vector<app_deployment>& apps, std::size_t host_cou
     out.saturated = loads.overcommitted;
 
     for (std::size_t a = 0; a < apps.size(); ++a) {
-        out.apps[a] = solve_app(apps[a], loads.inflation, options);
+        solve_app(apps[a], loads.inflation, options, out.apps[a]);
         if (out.apps[a].saturated) out.saturated = true;
     }
     return out;

@@ -76,7 +76,12 @@ struct host_loads {
 
 // Pass 1 of the solve, separated out so incremental re-solves can share it:
 // O(total replicas) arithmetic, no queueing math. Validates the deployments
-// exactly like solve().
+// exactly like solve(). Writes into `out`, reusing its vectors, so a caller
+// that keeps one host_loads across solves allocates nothing once it has
+// grown to the host count.
+void compute_host_loads(const std::vector<app_deployment>& apps,
+                        std::size_t host_count, const model_options& options,
+                        host_loads& out);
 host_loads compute_host_loads(const std::vector<app_deployment>& apps,
                               std::size_t host_count,
                               const model_options& options = {});
@@ -84,7 +89,13 @@ host_loads compute_host_loads(const std::vector<app_deployment>& apps,
 // Pass 2 for a single application: response times and tier reports given the
 // shared per-host inflation factors. Pure and deterministic; for the same
 // deployment vector, solve(apps, …).apps[a] is bit-identical to
-// solve_app(apps[a], compute_host_loads(apps, …).inflation, …).
+// solve_app(apps[a], compute_host_loads(apps, …).inflation, …). Writes into
+// `out`, reusing its vectors; the per-replica state and the per-(tier,
+// transaction) response tables live on the stack for apps of up to 32
+// replicas and 128 tier × transaction cells, so a solve into a reused
+// result allocates nothing.
+void solve_app(const app_deployment& app, const std::vector<double>& inflation,
+               const model_options& options, app_result& out);
 app_result solve_app(const app_deployment& app,
                      const std::vector<double>& inflation,
                      const model_options& options = {});

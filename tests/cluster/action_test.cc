@@ -4,6 +4,7 @@
 
 #include "apps/rubis.h"
 #include "common/check.h"
+#include "common/rng.h"
 
 namespace mistral::cluster {
 namespace {
@@ -191,6 +192,35 @@ TEST_F(ActionTest, EnumerateAppliesSymmetryReduction) {
     }
     EXPECT_EQ(power_ons, 1);
     EXPECT_GT(db1_adds, 0);
+}
+
+// The buffer form replaces whatever the vector held — here the previous
+// step's actions, longer or shorter — with exactly the value form's
+// actions, in its order, along a seeded walk under every menu.
+TEST_F(ActionTest, EnumerateIntoReusedBufferMatchesValueForm) {
+    const std::vector<action_menu> menus = {
+        {}, {.cpu_tuning = true, .replication = false, .migration = false,
+             .host_power = false},
+        {.cpu_tuning = false, .replication = true, .migration = true,
+         .host_power = true}};
+    rng gen(424242);
+    std::vector<action> buffer = {power_on{host_id{3}}, migrate{web0(), host_id{2}}};
+    auto c = config;
+    std::size_t grew = 0, shrank = 0;
+    for (int step = 0; step < 60; ++step) {
+        for (const auto& menu : menus) {
+            const auto before = buffer.size();
+            enumerate_actions(model, c, menu, buffer);
+            const auto want = enumerate_actions(model, c, menu);
+            ASSERT_EQ(buffer, want) << "step " << step;
+            grew += buffer.size() > before ? 1 : 0;
+            shrank += buffer.size() < before ? 1 : 0;
+        }
+        const auto acts = enumerate_actions(model, c);
+        c = apply(model, c, acts[gen.uniform_index(acts.size())]);
+    }
+    EXPECT_GT(grew, 0u);
+    EXPECT_GT(shrank, 0u);
 }
 
 }  // namespace

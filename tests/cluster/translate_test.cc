@@ -76,6 +76,60 @@ TEST_F(TranslateTest, PredictCombinesSolverAndPower) {
                 predicted_power(model, config, pred.perf.host_utilization), 1e-9);
 }
 
+// The buffer form refills a deployment vector that held other shapes — more
+// or fewer apps, replicas on other hosts, an extra replica in a tier — with
+// exactly what the value form builds.
+TEST(TranslateReuse, ToLqnIntoReusedBufferMatchesValueForm) {
+    std::vector<apps::application_spec> specs;
+    specs.push_back(apps::rubis_browsing("R0"));
+    specs.push_back(apps::two_tier_demo("D1"));
+    const cluster_model model(uniform_hosts(4), std::move(specs));
+    configuration lean(model.vm_count(), model.host_count());
+    for (std::int32_t h = 0; h < 4; ++h) lean.set_host_power(host_id{h}, true);
+    for (std::size_t a = 0; a < 2; ++a) {
+        const app_id app{static_cast<std::int32_t>(a)};
+        for (std::size_t t = 0; t < model.app(app).tier_count(); ++t) {
+            lean.deploy(model.tier_vms(app, t)[0],
+                        host_id{static_cast<std::int32_t>(2 * a + t % 2)}, 0.4);
+        }
+    }
+    auto wide = lean;  // a second replica in every replicated tier
+    for (std::size_t a = 0; a < 2; ++a) {
+        const app_id app{static_cast<std::int32_t>(a)};
+        for (std::size_t t = 0; t < model.app(app).tier_count(); ++t) {
+            if (model.tier_vms(app, t).size() > 1) {
+                wide.deploy(model.tier_vms(app, t)[1], host_id{3}, 0.3);
+            }
+        }
+    }
+
+    // Start from a buffer of another model's shape: three apps.
+    std::vector<lqn::app_deployment> buffer(3);
+    buffer[2].tiers.resize(5);
+    for (const auto* c : {&wide, &lean, &wide, &wide, &lean}) {
+        for (const auto& rates : {std::vector<req_per_sec>{40.0, 20.0},
+                                  std::vector<req_per_sec>{75.0, 5.0}}) {
+            to_lqn(model, *c, rates, buffer);
+            const auto want = to_lqn(model, *c, rates);
+            ASSERT_EQ(buffer.size(), want.size());
+            for (std::size_t a = 0; a < want.size(); ++a) {
+                EXPECT_EQ(buffer[a].spec, want[a].spec);
+                EXPECT_EQ(buffer[a].rate, want[a].rate);
+                ASSERT_EQ(buffer[a].tiers.size(), want[a].tiers.size());
+                for (std::size_t t = 0; t < want[a].tiers.size(); ++t) {
+                    const auto& got = buffer[a].tiers[t].replicas;
+                    const auto& exp = want[a].tiers[t].replicas;
+                    ASSERT_EQ(got.size(), exp.size()) << a << "/" << t;
+                    for (std::size_t r = 0; r < exp.size(); ++r) {
+                        EXPECT_EQ(got[r].host, exp[r].host);
+                        EXPECT_EQ(got[r].cpu_cap, exp[r].cpu_cap);
+                    }
+                }
+            }
+        }
+    }
+}
+
 TEST_F(TranslateTest, MorePowerAtHigherRate) {
     const auto lo = predict(model, config, {10.0});
     const auto hi = predict(model, config, {60.0});

@@ -396,6 +396,115 @@ TEST(EvaluatorOracle, DeltaEvaluationMatchesWholeSolveOnRandomWalks) {
     EXPECT_LT(st.app_solves, st.cache_misses * model.app_count());
 }
 
+// ---- reused workspaces -------------------------------------------------------
+
+// The engine refills its deployments, host loads, signature probe and
+// per-app result slots on every steady evaluation, and its one-app
+// deployment, host loads and result on every isolated solve. One engine
+// driven through evaluations and isolated batches whose shapes change
+// between calls — replicas added and removed, batches growing and
+// shrinking, rates re-bound — returns, bit for bit, what a fresh engine
+// returns for each call.
+TEST(EvaluatorWorkspace, ReusedEngineMatchesFreshEngines) {
+    const auto model = mixed_model();
+    const utility_model utility;
+    cluster::configuration c(model.vm_count(), model.host_count());
+    for (std::int32_t h = 0; h < 8; ++h) c.set_host_power(host_id{h}, true);
+    for (std::size_t a = 0; a < model.app_count(); ++a) {
+        const app_id app{static_cast<std::int32_t>(a)};
+        for (std::size_t t = 0; t < model.app(app).tier_count(); ++t) {
+            c.deploy(model.tier_vms(app, t)[0],
+                     host_id{static_cast<std::int32_t>(2 * a + t % 2)}, 0.4);
+        }
+    }
+    ASSERT_TRUE(structurally_valid(model, c));
+
+    rng gen(20261020);
+    auto random_sizing = [&] {
+        app_sizing s(model.app_count());
+        for (std::size_t a = 0; a < model.app_count(); ++a) {
+            for (const auto& tier :
+                 model.app(app_id{static_cast<std::int32_t>(a)}).tiers()) {
+                s[a].push_back(
+                    {tier.min_replicas +
+                         static_cast<int>(gen.uniform_index(static_cast<std::uint64_t>(
+                             tier.max_replicas - tier.min_replicas + 1))),
+                     std::round(1000.0 * gen.uniform(tier.min_cpu_cap, tier.max_cpu_cap)) /
+                         1000.0});
+            }
+        }
+        return s;
+    };
+    // batch[0] with one (app, tier) changed, as a gradient candidate is.
+    auto neighbour = [&](const app_sizing& base) {
+        auto s = base;
+        const auto a = gen.uniform_index(model.app_count());
+        const auto t = gen.uniform_index(s[a].size());
+        const auto& tier = model.app(app_id{static_cast<std::int32_t>(a)}).tiers()[t];
+        if (gen.uniform() < 0.5 && s[a][t].cap - 0.1 >= tier.min_cpu_cap) {
+            s[a][t].cap -= 0.1;
+        } else {
+            s[a][t].replicas = s[a][t].replicas > tier.min_replicas
+                                   ? s[a][t].replicas - 1
+                                   : tier.max_replicas;
+        }
+        return s;
+    };
+
+    const std::vector<std::vector<req_per_sec>> levels = {
+        {40.0, 40.0, 40.0, 40.0}, {85.0, 20.0, 60.0, 95.0}, {10.0, 70.0, 35.0, 5.0}};
+    serial_evaluator reused(model, utility);
+    std::size_t replica_changes = 0, grew = 0, shrank = 0, last_batch = 0;
+    for (int step = 0; step < 80; ++step) {
+        SCOPED_TRACE(step);
+        const auto& rates = levels[static_cast<std::size_t>(step) / 7 % levels.size()];
+        reused.begin_decision(rates);
+        auto fresh = [&] {
+            auto ev = std::make_unique<serial_evaluator>(model, utility);
+            ev->begin_decision(rates);
+            return ev;
+        };
+
+        const auto acts = enumerate_actions(model, c);
+        const auto& act = acts[gen.uniform_index(acts.size())];
+        const auto kind = kind_of(act);
+        replica_changes += kind == cluster::action_kind::add_replica ||
+                                   kind == cluster::action_kind::remove_replica
+                               ? 1
+                               : 0;
+        c = apply(model, c, act);
+        const auto got = reused.evaluate(c);
+        const auto want = fresh()->evaluate(c);
+        ASSERT_EQ(got.response_times, want.response_times);
+        ASSERT_EQ(got.rate, want.rate);
+        ASSERT_EQ(got.perf_rate, want.perf_rate);
+        ASSERT_EQ(got.power_rate, want.power_rate);
+        ASSERT_EQ(got.power, want.power);
+        ASSERT_EQ(got.candidate, want.candidate);
+        ASSERT_EQ(got.meets_targets, want.meets_targets);
+
+        std::vector<app_sizing> batch = {random_sizing()};
+        const auto n = 1 + gen.uniform_index(9);
+        while (batch.size() < n) {
+            batch.push_back(gen.uniform() < 0.3 ? random_sizing() : neighbour(batch[0]));
+        }
+        grew += batch.size() > last_batch ? 1 : 0;
+        shrank += batch.size() < last_batch ? 1 : 0;
+        last_batch = batch.size();
+        const auto scored = reused.evaluate_isolated_batch(batch);
+        ASSERT_EQ(scored.size(), batch.size());
+        for (std::size_t i = 0; i < batch.size(); ++i) {
+            const auto one = fresh()->evaluate_isolated(batch[i]);
+            ASSERT_EQ(scored[i].response_times, one.response_times) << i;
+            ASSERT_EQ(scored[i].perf_rate, one.perf_rate) << i;
+            ASSERT_EQ(scored[i].meets_all_targets, one.meets_all_targets) << i;
+        }
+    }
+    EXPECT_GT(replica_changes, 0u);
+    EXPECT_GT(grew, 0u);
+    EXPECT_GT(shrank, 0u);
+}
+
 // ---- the isolated view -------------------------------------------------------
 
 // Each replica of the isolated view sits alone on a synthetic host, so the

@@ -4,6 +4,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
+#include <tuple>
+#include <vector>
 
 #include "apps/rubis.h"
 #include "common/check.h"
@@ -248,6 +251,96 @@ TEST_F(SolverFixture, InflationIsTheOnlyCrossAppChannel) {
     const auto alone = solve_app(apps[0], loads.inflation);
     EXPECT_EQ(alone.mean_response_time, from_pair.apps[0].mean_response_time);
     EXPECT_EQ(alone.per_transaction, from_pair.apps[0].per_transaction);
+}
+
+// One deployment of `spec` with tier t's replicas on hosts first_host,
+// first_host + 1, …, all at `cap`.
+app_deployment spread(const apps::application_spec& spec, req_per_sec rate,
+                      const std::vector<int>& replicas, fraction cap,
+                      std::size_t& first_host) {
+    app_deployment dep;
+    dep.spec = &spec;
+    dep.rate = rate;
+    dep.tiers.resize(spec.tier_count());
+    for (std::size_t t = 0; t < spec.tier_count(); ++t) {
+        for (int r = 0; r < replicas[t]; ++r) {
+            dep.tiers[t].replicas.push_back({first_host++, cap});
+        }
+    }
+    return dep;
+}
+
+void expect_same_result(const app_result& got, const app_result& want) {
+    EXPECT_EQ(got.mean_response_time, want.mean_response_time);
+    EXPECT_EQ(got.per_transaction, want.per_transaction);
+    ASSERT_EQ(got.tiers.size(), want.tiers.size());
+    for (std::size_t t = 0; t < got.tiers.size(); ++t) {
+        EXPECT_EQ(got.tiers[t].utilization, want.tiers[t].utilization) << t;
+        EXPECT_EQ(got.tiers[t].visit_response, want.tiers[t].visit_response) << t;
+        EXPECT_EQ(got.tiers[t].cpu_usage, want.tiers[t].cpu_usage) << t;
+    }
+    EXPECT_EQ(got.saturated, want.saturated);
+}
+
+// compute_host_loads and solve_app into one host_loads and one app_result
+// reused across deployments of every shape — RUBiS and two-tier apps with
+// one or two replicas per tier, a 36-replica tier and a 140-cell
+// transaction table (past the solver's stack buffers), growing and
+// shrinking — give what fresh calls give, bit for bit.
+TEST_F(SolverFixture, ReusedStorageMatchesFreshSolves) {
+    const auto demo = apps::two_tier_demo("d");
+    const apps::application_spec wide(
+        "wide", {{.name = "w", .min_replicas = 1, .max_replicas = 40, .threads = 8}},
+        {{.name = "t", .mix = 1.0, .visits = {1.0}, .demand = {0.002}}}, 0.4);
+    std::vector<apps::transaction_type> many;
+    for (int x = 0; x < 70; ++x) {
+        many.push_back({.name = "t" + std::to_string(x),
+                        .mix = 1.0 / 70.0,
+                        .visits = {1.0, static_cast<double>(x % 3)},
+                        .demand = {0.001 + 1e-5 * x, 0.002}});
+    }
+    const apps::application_spec tall(
+        "tall", {{.name = "web", .max_replicas = 2}, {.name = "db", .max_replicas = 2}},
+        std::move(many), 0.4);
+
+    struct step {
+        std::vector<app_deployment> apps;
+        std::size_t hosts = 0;
+    };
+    std::vector<step> steps;
+    auto add = [&](std::vector<std::tuple<const apps::application_spec*, req_per_sec,
+                                          std::vector<int>, fraction>> parts) {
+        step s;
+        for (const auto& [spec, rate, replicas, cap] : parts) {
+            s.apps.push_back(spread(*spec, rate, replicas, cap, s.hosts));
+        }
+        steps.push_back(std::move(s));
+    };
+    add({{&spec_, 45.0, {1, 1, 1}, 0.4}, {&demo, 30.0, {1, 2}, 0.5}});
+    add({{&spec_, 90.0, {1, 2, 2}, 0.3}});
+    add({{&demo, 20.0, {1, 1}, 0.6}});
+    add({{&wide, 400.0, {36}, 0.2}, {&spec_, 60.0, {1, 2, 1}, 0.8}});
+    add({{&tall, 50.0, {2, 1}, 0.4}, {&demo, 70.0, {1, 2}, 0.2}});
+    add({{&spec_, 120.0, {1, 1, 1}, 0.2}});  // saturated
+    add({{&demo, 25.0, {1, 1}, 0.5}, {&spec_, 40.0, {1, 2, 2}, 0.4}});
+
+    host_loads loads;
+    app_result result;
+    for (std::size_t i = 0; i < steps.size(); ++i) {
+        SCOPED_TRACE(i);
+        const auto& s = steps[i];
+        compute_host_loads(s.apps, s.hosts, {}, loads);
+        const auto fresh = compute_host_loads(s.apps, s.hosts);
+        EXPECT_EQ(loads.demand, fresh.demand);
+        EXPECT_EQ(loads.utilization, fresh.utilization);
+        EXPECT_EQ(loads.cap_sums, fresh.cap_sums);
+        EXPECT_EQ(loads.inflation, fresh.inflation);
+        EXPECT_EQ(loads.overcommitted, fresh.overcommitted);
+        for (const auto& app : s.apps) {
+            solve_app(app, loads.inflation, {}, result);
+            expect_same_result(result, solve_app(app, fresh.inflation));
+        }
+    }
 }
 
 }  // namespace
