@@ -23,17 +23,23 @@
 //    stay under 1 s modeled, the K=3 flash-crowd cell must reproduce its
 //    golden utility bits, invocations, actions and pre-provisions, and a
 //    warm-restarted coordinator (checkpoint + decision-tail replay) must
-//    decide bit-identically to an uninterrupted one. Perf numbers are
-//    printed but never gated (CI hardware varies).
+//    decide bit-identically to an uninterrupted one. It also counts the
+//    heap allocations of the golden 8-host/4-app decision (a counting global
+//    operator new, armed around that one find()) and fails above
+//    kMaxAllocations. Perf numbers are printed but never gated (CI hardware
+//    varies).
 //
 //  * With any --benchmark* flag: the registered google-benchmark
 //    microbenchmarks run instead (e.g. --benchmark_filter=search).
 #include <benchmark/benchmark.h>
 
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <memory>
+#include <new>
 #include <string>
 #include <thread>
 #include <vector>
@@ -44,6 +50,25 @@
 #include "core/search.h"
 #include "core/snapshot.h"
 #include "cost/table.h"
+
+// Heap allocations made while `counting_allocations` is set (the smoke's
+// allocation gate).
+std::atomic<bool> counting_allocations{false};
+std::atomic<std::size_t> allocations{0};
+
+// Out of line, as are the deletes below, so GCC does not pair the malloc()
+// and free() inside them across an inlined call.
+__attribute__((noinline)) void* operator new(std::size_t size) {
+    if (counting_allocations.load(std::memory_order_relaxed)) {
+        allocations.fetch_add(1, std::memory_order_relaxed);
+    }
+    if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+    throw std::bad_alloc();
+}
+__attribute__((noinline)) void operator delete(void* p) noexcept { std::free(p); }
+__attribute__((noinline)) void operator delete(void* p, std::size_t) noexcept {
+    std::free(p);
+}
 
 namespace {
 
@@ -332,6 +357,12 @@ int run_smoke() {
     // the whole sizing per candidate would pay app_count per isolated
     // evaluation (3,328 here).
     constexpr std::size_t kGoldenIsolatedSolves = 200;
+    // Heap allocations of that one decision (deterministic for one standard
+    // library): 4,677 with GCC 12's libstdc++, where rebuilding the ideal's
+    // candidates, packer and solver tables and the search's action lists
+    // per call used to make 45,858. The bound leaves 40 % for other standard
+    // libraries; more means a per-call buffer came back.
+    constexpr std::size_t kMaxAllocations = 6550;
 
     auto scn = core::make_rubis_scenario({.host_count = 8, .app_count = 4});
     const std::vector<req_per_sec> rates(4, 60.0);
@@ -340,8 +371,11 @@ int run_smoke() {
                                          cost::cost_table::paper_defaults());
     core::model_clock_meter meter;
     const auto t0 = std::chrono::steady_clock::now();
+    counting_allocations.store(true);
     const auto result = search.find(scn.initial, rates, 600.0, 0.0, meter);
+    counting_allocations.store(false);
     const auto t1 = std::chrono::steady_clock::now();
+    const std::size_t decision_allocations = allocations.load();
     const auto& es = search.evaluator().stats();
     // What a whole-configuration solve per evaluation would pay (DESIGN.md
     // §11), printed for the log.
@@ -376,6 +410,11 @@ int run_smoke() {
     }
     if (es.isolated_solves > kGoldenIsolatedSolves) {
         fail("the ideal paid more isolated per-app solves than the golden count");
+    }
+    std::printf("smoke: decision allocations=%zu (bound %zu)\n",
+                decision_allocations, kMaxAllocations);
+    if (decision_allocations > kMaxAllocations) {
+        fail("the decision made more heap allocations than its bound");
     }
 
     // Degraded-guard overhead gate: on clean telemetry the degraded-mode
