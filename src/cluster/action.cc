@@ -4,9 +4,9 @@
 #include <array>
 #include <span>
 #include <sstream>
-#include <vector>
 
 #include "common/check.h"
+#include "common/inline_buffer.h"
 
 namespace mistral::cluster {
 
@@ -347,21 +347,13 @@ void enumerate_actions(const cluster_model& model, const configuration& config,
     out.clear();
     // One memory pass up front; every migrate/add_replica probe below would
     // otherwise rescan the whole VM inventory per target host. Clusters of up
-    // to inline_hosts hosts sum on the stack, as structurally_valid does.
-    constexpr std::size_t inline_hosts = 64;
-    std::array<double, inline_hosts> inline_memory{};
-    std::vector<double> heap_memory;
-    std::span<double> sums(inline_memory.data(),
-                           std::min(model.host_count(), inline_hosts));
-    if (model.host_count() > inline_hosts) {
-        heap_memory.assign(model.host_count(), 0.0);
-        sums = heap_memory;
-    }
+    // to 64 hosts sum on the stack.
+    inline_buffer<double, 64> sums(model.host_count(), 0.0);
     for (const auto& desc : model.vms()) {
         const auto& p = config.placement(desc.vm);
         if (p) sums[p->host.index()] += desc.memory_mb;
     }
-    const host_memory memory = sums;
+    const host_memory memory = sums.span();
     auto offer = [&](action a) {
         if (applicable_impl(model, config, a, &memory, nullptr)) {
             out.push_back(std::move(a));

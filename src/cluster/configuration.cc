@@ -1,11 +1,10 @@
 #include "cluster/configuration.h"
 
-#include <array>
 #include <cmath>
-#include <span>
 #include <sstream>
 
 #include "common/check.h"
+#include "common/inline_buffer.h"
 
 namespace mistral::cluster {
 
@@ -242,16 +241,9 @@ bool valid_impl(const cluster_model& model, const configuration& config,
     }
     // One pass over the VMs for every host's memory load (memory_sum per
     // host would rescan the whole inventory host_count times), summed in VM
-    // order. Clusters of up to inline_hosts hosts (every paper-sized cluster
-    // and pod) sum on the stack, so the check allocates nothing.
-    constexpr std::size_t inline_hosts = 64;
-    std::array<double, inline_hosts> inline_memory{};
-    std::vector<double> heap_memory;
-    std::span<double> memory(inline_memory);
-    if (model.host_count() > inline_hosts) {
-        heap_memory.assign(model.host_count(), 0.0);
-        memory = heap_memory;
-    }
+    // order. Clusters of up to 64 hosts (every paper-sized cluster and pod)
+    // sum on the stack, so the check allocates nothing.
+    inline_buffer<double, 64> memory(model.host_count(), 0.0);
     for (const auto& desc : model.vms()) {
         const auto& p = config.placement(desc.vm);
         if (p) memory[p->host.index()] += desc.memory_mb;

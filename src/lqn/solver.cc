@@ -1,11 +1,11 @@
 #include "lqn/solver.h"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <limits>
 
 #include "common/check.h"
+#include "common/inline_buffer.h"
 #include "lqn/erlang.h"
 
 namespace mistral::lqn {
@@ -54,32 +54,6 @@ replica_state replica_load(const app_deployment& app, std::size_t t,
     st.cpu_usage = std::min(st.offered, cap);
     return st;
 }
-
-// n values of T, on the stack when n <= N and on the heap beyond: solve_app's
-// per-call tables, so solving a paper-sized app allocates nothing.
-template <typename T, std::size_t N>
-class inline_buffer {
-public:
-    inline_buffer(std::size_t n, const T& value) {
-        if (n > N) {
-            heap_.assign(n, value);
-            data_ = heap_.data();
-        } else {
-            std::fill_n(local_.data(), n, value);
-            data_ = local_.data();
-        }
-    }
-    inline_buffer(const inline_buffer&) = delete;
-    inline_buffer& operator=(const inline_buffer&) = delete;
-
-    T& operator[](std::size_t i) { return data_[i]; }
-    const T& operator[](std::size_t i) const { return data_[i]; }
-
-private:
-    std::array<T, N> local_;
-    std::vector<T> heap_;
-    T* data_ = nullptr;
-};
 
 }  // namespace
 
