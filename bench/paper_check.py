@@ -7,6 +7,9 @@
     ./build/bench/fig10_search_cost --json | python3 bench/paper_check.py fig10
     ./build/bench/fig09_cumulative_utility --json | python3 bench/paper_check.py fig09
     ./build/bench/ablation_pruning --json | python3 bench/paper_check.py ablation_pruning
+    ./build/bench/fig06_stability_estimation --json | python3 bench/paper_check.py fig06
+    ./build/bench/ablation_band --json | python3 bench/paper_check.py ablation_band
+    ./build/bench/ablation_horizon --json | python3 bench/paper_check.py ablation_horizon
 
 Reads one JSON object from stdin and compares it exactly with the named
 section of BENCH_paper.json at the repository root. The paper benches are
