@@ -36,9 +36,7 @@ constexpr double kExpensivePrice = 0.04;
 
 cluster::cluster_model make_model() {
     std::vector<apps::application_spec> specs;
-    for (int a = 0; a < 2; ++a) {
-        specs.push_back(apps::rubis_browsing("R" + std::to_string(a)));
-    }
+    for (const char* name : {"R0", "R1"}) specs.push_back(apps::rubis_browsing(name));
     return cluster::cluster_model(cluster::uniform_hosts(6), std::move(specs));
 }
 
