@@ -111,7 +111,7 @@ mistral_controller::mistral_controller(const cluster::cluster_model& model,
         predict::arma_options arma = options_.arma;
         predictors_.emplace_back(arma);
     }
-    prev_trusted_.assign(model.app_count(), true);
+    memory_.prev_trusted.assign(model.app_count(), true);
     if (options_.lookahead.enabled) {
         MISTRAL_CHECK(options_.lookahead.horizon >= 1);
         // The planner's interval-1 searches go through this controller's own
@@ -123,8 +123,8 @@ mistral_controller::mistral_controller(const cluster::cluster_model& model,
         // adaptive ARMA filter at its defaults, whose divergence guard is the
         // lookahead-specific alarm that demotes lookahead → full.
         rate_forecasters_.resize(model.app_count());
-        prev_forecaster_trusted_.assign(model.app_count(), true);
-        mode_ = control_mode::lookahead;
+        memory_.prev_forecaster_trusted.assign(model.app_count(), true);
+        memory_.mode = control_mode::lookahead;
     }
     if (auto* reg = obs::metrics_of(options_.sink)) {
         obs_decisions_ = reg->register_counter(
@@ -164,13 +164,13 @@ mistral_controller::mistral_controller(const cluster::cluster_model& model,
 }
 
 dollars mistral_controller::pessimistic_expected_utility(seconds cw) const {
-    if (utility_history_.empty()) {
+    const std::vector<dollars>& history = memory_.utility_history;
+    if (history.empty()) {
         // No achievement history yet: assume a neutral budget so the first
         // searches run unconstrained.
         return 0.0;
     }
-    const dollars lowest =
-        *std::min_element(utility_history_.begin(), utility_history_.end());
+    const dollars lowest = *std::min_element(history.begin(), history.end());
     // History entries are per monitoring interval; scale to the window.
     return lowest * cw / options_.utility.monitoring_interval;
 }
@@ -178,16 +178,16 @@ dollars mistral_controller::pessimistic_expected_utility(seconds cw) const {
 void mistral_controller::account_faults(const decision_input& in,
                                         const std::vector<req_per_sec>& rates) {
     for (const auto& a : in.failed) {
-        ++rstats_.failed_actions;
+        ++memory_.rstats.failed_actions;
         obs_failed_actions_.add();
         const auto entry = costs_.lookup(*model_, a, rates);
-        rstats_.wasted_adaptation_time += entry.duration;
-        rstats_.wasted_transient_cost +=
+        memory_.rstats.wasted_adaptation_time += entry.duration;
+        memory_.rstats.wasted_transient_cost +=
             entry.duration * -utility_.power_rate(std::max(0.0, entry.delta_power));
     }
     if (!in.failed.empty()) {
-        obs_wasted_seconds_.set(rstats_.wasted_adaptation_time);
-        obs_wasted_dollars_.set(rstats_.wasted_transient_cost);
+        obs_wasted_seconds_.set(memory_.rstats.wasted_adaptation_time);
+        obs_wasted_dollars_.set(memory_.rstats.wasted_transient_cost);
     }
 }
 
@@ -196,35 +196,35 @@ void mistral_controller::update_ladder(control_mode target, const char* reason,
     // Rung comparisons and the climb are enum-based (control_mode declares
     // the rungs in capability order; promote_one names each step explicitly),
     // so inserting a rung cannot silently renumber the ladder.
-    control_mode from = mode_;
+    control_mode from = memory_.mode;
     const char* direction = nullptr;
-    if (target > mode_) {
+    if (target > memory_.mode) {
         // Demote immediately: a rung was selected because the inputs cannot
         // support anything more ambitious right now.
-        mode_ = target;
-        clean_steps_ = 0;
-        ++dstats_.demotions;
+        memory_.mode = target;
+        memory_.clean_steps = 0;
+        ++memory_.dstats.demotions;
         obs_demotions_.add();
         direction = "demote";
-    } else if (target < mode_) {
+    } else if (target < memory_.mode) {
         // Promote with hysteresis, one rung at a time.
-        ++clean_steps_;
-        if (clean_steps_ >= options_.degraded.promote_after) {
-            mode_ = promote_one(mode_, top_rung());
-            clean_steps_ = 0;
-            ++dstats_.promotions;
+        ++memory_.clean_steps;
+        if (memory_.clean_steps >= options_.degraded.promote_after) {
+            memory_.mode = promote_one(memory_.mode, top_rung());
+            memory_.clean_steps = 0;
+            ++memory_.dstats.promotions;
             obs_promotions_.add();
             direction = "promote";
             reason = "recovered";
         }
     } else {
-        clean_steps_ = 0;
+        memory_.clean_steps = 0;
     }
     if (direction != nullptr && obs::journaling(options_.sink)) {
         obs::event e("ladder_transition", now);
         e.text("direction", direction)
             .text("from", to_string(from))
-            .text("to", to_string(mode_))
+            .text("to", to_string(memory_.mode))
             .text("reason", reason);
         options_.sink->record(e);
     }
@@ -238,28 +238,13 @@ void mistral_controller::set_power_cap(watts cap) {
 
 controller_state mistral_controller::export_state() const {
     controller_state s;
+    static_cast<controller_memory&>(s) = memory_;
     s.monitor = monitor_.export_state();
     s.validator = validator_.export_state();
-    s.predictors.reserve(predictors_.size());
     for (const auto& p : predictors_) s.predictors.push_back(p.export_state());
-    s.utility_history = utility_history_;
-    s.first_step = first_step_;
-    s.rate_forecasters.reserve(rate_forecasters_.size());
     for (const auto& p : rate_forecasters_) {
         s.rate_forecasters.push_back(p.export_state());
     }
-    s.prev_forecaster_trusted = prev_forecaster_trusted_;
-    s.lookahead_deadline_tripped = lookahead_deadline_tripped_;
-    s.lstats = lstats_;
-    s.rstats = rstats_;
-    s.intended = intended_;
-    s.fault_rounds = fault_rounds_;
-    s.backoff_until = backoff_until_;
-    s.mode = mode_;
-    s.clean_steps = clean_steps_;
-    s.deadline_tripped = deadline_tripped_;
-    s.prev_trusted = prev_trusted_;
-    s.dstats = dstats_;
     s.power_cap = search_.options().power_cap;
     return s;
 }
@@ -275,23 +260,10 @@ void mistral_controller::import_state(const controller_state& s, seconds now) {
     for (std::size_t i = 0; i < predictors_.size(); ++i) {
         predictors_[i].import_state(s.predictors[i]);
     }
-    utility_history_ = s.utility_history;
-    first_step_ = s.first_step;
     for (std::size_t i = 0; i < rate_forecasters_.size(); ++i) {
         rate_forecasters_[i].import_state(s.rate_forecasters[i]);
     }
-    prev_forecaster_trusted_ = s.prev_forecaster_trusted;
-    lookahead_deadline_tripped_ = s.lookahead_deadline_tripped;
-    lstats_ = s.lstats;
-    rstats_ = s.rstats;
-    intended_ = s.intended;
-    fault_rounds_ = s.fault_rounds;
-    backoff_until_ = s.backoff_until;
-    mode_ = s.mode;
-    clean_steps_ = s.clean_steps;
-    deadline_tripped_ = s.deadline_tripped;
-    prev_trusted_ = s.prev_trusted;
-    dstats_ = s.dstats;
+    memory_ = s;
     if (std::isfinite(s.power_cap)) set_power_cap(s.power_cap);
     // The tariff factors are deliberately not checkpointed: re-indexing the
     // tariff at the restore time reproduces the live controller's pricing
@@ -346,12 +318,12 @@ controller_decision mistral_controller::step(const decision_input& in) {
     }
     const std::vector<req_per_sec>& rates = verdict.rates;
     decision.telemetry_quality = verdict.quality;
-    decision.mode = mode_;
+    decision.mode = memory_.mode;
     if (!verdict.healthy()) {
-        ++dstats_.degraded_windows;
+        ++memory_.dstats.degraded_windows;
         obs_degraded_windows_.add();
         if (verdict.quality == wl::window_quality::garbage) {
-            ++dstats_.garbage_windows;
+            ++memory_.dstats.garbage_windows;
         }
     }
 
@@ -386,19 +358,20 @@ controller_decision mistral_controller::step(const decision_input& in) {
             .num("search_power_cost", decision.stats.search_power_cost)
             .integer("failed_actions",
                      static_cast<std::int64_t>(in.failed.size()))
-            .integer("fault_rounds", fault_rounds_)
+            .integer("fault_rounds", memory_.fault_rounds)
             .boolean("drift", drift)
-            .num("wasted_seconds", rstats_.wasted_adaptation_time)
-            .num("wasted_dollars", rstats_.wasted_transient_cost)
+            .num("wasted_seconds", memory_.rstats.wasted_adaptation_time)
+            .num("wasted_dollars", memory_.rstats.wasted_transient_cost)
             .text("mode", to_string(decision.mode))
             .text("quality", wl::to_string(decision.telemetry_quality));
         options_.sink->record(e);
     };
 
-    if (!first_step_) {
-        utility_history_.push_back(in.last_interval_utility);
-        if (static_cast<int>(utility_history_.size()) > options_.utility_history) {
-            utility_history_.erase(utility_history_.begin());
+    if (!memory_.first_step) {
+        std::vector<dollars>& history = memory_.utility_history;
+        history.push_back(in.last_interval_utility);
+        if (static_cast<int>(history.size()) > options_.utility_history) {
+            history.erase(history.begin());
         }
     }
 
@@ -417,8 +390,8 @@ controller_decision mistral_controller::step(const decision_input& in) {
             const auto& p = predictors_[a];
             if (!p.trusted()) any_untrusted = true;
             band_scale = std::max(band_scale, p.band_multiplier());
-            if (p.trusted() != prev_trusted_[a]) {
-                prev_trusted_[a] = p.trusted();
+            if (p.trusted() != memory_.prev_trusted[a]) {
+                memory_.prev_trusted[a] = p.trusted();
                 if (obs::journaling(options_.sink)) {
                     obs::event e("predictor_divergence", now);
                     e.integer("app", static_cast<std::int64_t>(a))
@@ -443,10 +416,10 @@ controller_decision mistral_controller::step(const decision_input& in) {
             if (std::isfinite(rates[a]) && rates[a] >= 0.0) {
                 rate_forecasters_[a].observe(rates[a]);
             }
-            if (rate_forecasters_[a].trusted() != prev_forecaster_trusted_[a]) {
-                prev_forecaster_trusted_[a] = rate_forecasters_[a].trusted();
+            if (rate_forecasters_[a].trusted() != memory_.prev_forecaster_trusted[a]) {
+                memory_.prev_forecaster_trusted[a] = rate_forecasters_[a].trusted();
                 if (!rate_forecasters_[a].trusted()) {
-                    ++lstats_.forecast_divergences;
+                    ++memory_.lstats.forecast_divergences;
                 }
             }
         }
@@ -455,14 +428,14 @@ controller_decision mistral_controller::step(const decision_input& in) {
     account_faults(in, rates);
     const bool fault_signal = !in.failed.empty() || !in.hosts_failed.empty() ||
                               !in.hosts_recovered.empty();
-    if (!fault_signal) fault_rounds_ = 0;
+    if (!fault_signal) memory_.fault_rounds = 0;
 
     // While the executor still runs a previous sequence, hold off: planning
     // against a configuration that queued actions are about to change would
     // race them. (The fault-free harness only calls step() when idle, so
     // this path never fires there.)
     if (!in.in_flight.empty()) {
-        first_step_ = false;
+        memory_.first_step = false;
         emit_decision("hold");
         return decision;
     }
@@ -471,8 +444,8 @@ controller_decision mistral_controller::step(const decision_input& in) {
     // the last decision intended: an aborted or partial plan leaves the two
     // apart, and the gap is journaled as drift.
     const cluster::configuration& base = in.current;
-    if (intended_ && !(*intended_ == base)) {
-        ++rstats_.drift_intervals;
+    if (memory_.intended && !(*memory_.intended == base)) {
+        ++memory_.rstats.drift_intervals;
         drift = true;
     }
 
@@ -482,15 +455,15 @@ controller_decision mistral_controller::step(const decision_input& in) {
     if (!cluster::structurally_valid(*model_, base)) {
         auto repair = plan_repair(*model_, base);
         if (!repair.empty()) {
-            first_step_ = false;
-            ++rstats_.repairs;
+            memory_.first_step = false;
+            ++memory_.rstats.repairs;
             obs_decisions_.add();
             obs_repairs_.add();
             decision.invoked = true;
             decision.repair = true;
             decision.reconciled = true;
             decision.actions = std::move(repair);
-            intended_ = apply_plan(*model_, base, decision.actions);
+            memory_.intended = apply_plan(*model_, base, decision.actions);
             monitor_.recenter(now, rates);
             emit_decision("repair");
             return decision;
@@ -512,7 +485,7 @@ controller_decision mistral_controller::step(const decision_input& in) {
         } else if (verdict.quality == wl::window_quality::degraded) {
             target = control_mode::greedy;
             reason = "telemetry_degraded";
-        } else if (deadline_tripped_) {
+        } else if (memory_.deadline_tripped) {
             target = control_mode::greedy;
             reason = "search_deadline";
         } else if (options_.lookahead.enabled) {
@@ -525,7 +498,7 @@ controller_decision mistral_controller::step(const decision_input& in) {
             }
             if (!forecasters_trusted) {
                 reason = "forecast_divergence";
-            } else if (lookahead_deadline_tripped_) {
+            } else if (memory_.lookahead_deadline_tripped) {
                 reason = "lookahead_deadline";
             } else {
                 target = control_mode::lookahead;
@@ -533,7 +506,7 @@ controller_decision mistral_controller::step(const decision_input& in) {
         }
         update_ladder(target, reason, now);
     }
-    decision.mode = mode_;
+    decision.mode = memory_.mode;
 
     // A fault signal forces a replan even inside the workload band, bounded
     // by max_fault_retries consecutive rounds with geometric backoff between
@@ -541,24 +514,26 @@ controller_decision mistral_controller::step(const decision_input& in) {
     // exactly the adaptation an untrusted predictor cannot justify (the
     // structural-repair path above already handled safety).
     bool force = false;
-    if (mode_ != control_mode::hold && fault_signal &&
-        now + 1e-9 >= backoff_until_ && fault_rounds_ < max_fault_retries) {
+    if (memory_.mode != control_mode::hold && fault_signal &&
+        now + 1e-9 >= memory_.backoff_until &&
+        memory_.fault_rounds < max_fault_retries) {
         force = true;
-        backoff_until_ =
-            now + fault_backoff_base * std::pow(fault_backoff_factor, fault_rounds_);
-        ++fault_rounds_;
-        ++rstats_.fault_replans;
+        memory_.backoff_until =
+            now + fault_backoff_base *
+                      std::pow(fault_backoff_factor, memory_.fault_rounds);
+        ++memory_.fault_rounds;
+        ++memory_.rstats.fault_replans;
         obs_fault_replans_.add();
     }
 
     const bool trigger =
-        first_step_ || event.any_exceeded || force || tariff_changed;
-    const char* trigger_name = first_step_          ? "first"
+        memory_.first_step || event.any_exceeded || force || tariff_changed;
+    const char* trigger_name = memory_.first_step   ? "first"
                                : force              ? "fault"
                                : event.any_exceeded ? "band"
                                : tariff_changed     ? "tariff"
                                                     : "none";
-    first_step_ = false;
+    memory_.first_step = false;
     if (!trigger) {
         emit_decision("none");
         return decision;
@@ -580,18 +555,18 @@ controller_decision mistral_controller::step(const decision_input& in) {
     // Hold rung: the trigger is real, but interval predictions are untrusted,
     // so re-center the bands on the new level and keep the last known-good
     // configuration. Predictors keep observing (above), so trust can recover.
-    if (mode_ == control_mode::hold) {
-        ++dstats_.held_triggers;
+    if (memory_.mode == control_mode::hold) {
+        ++memory_.dstats.held_triggers;
         decision.control_window = cw;
         monitor_.recenter(now, rates);
         emit_decision(trigger_name);
         return decision;
     }
 
-    const bool greedy = mode_ == control_mode::greedy;
+    const bool greedy = memory_.mode == control_mode::greedy;
     const dollars uh = pessimistic_expected_utility(cw);
     search_result result;
-    if (mode_ == control_mode::lookahead) {
+    if (memory_.mode == control_mode::lookahead) {
         // Receding horizon: forecast intervals 2..K from the rate
         // forecasters, plan a sequence, commit only interval 1, replan next
         // window. At horizon = 1 this is one find() on the controller's own
@@ -622,13 +597,13 @@ controller_decision mistral_controller::step(const decision_input& in) {
         }
         auto la = lookahead_->plan(base, rates, forecast, confidence, cw, uh,
                                    meter_, now);
-        ++lstats_.lookahead_decisions;
+        ++memory_.lstats.lookahead_decisions;
         obs_lookahead_decisions_.add();
         if (la.preprovisioned) {
-            ++lstats_.preprovision_commits;
+            ++memory_.lstats.preprovision_commits;
             obs_preprovisions_.add();
         } else {
-            ++lstats_.reactive_commits;
+            ++memory_.lstats.reactive_commits;
         }
         if (deg.enabled) {
             // The single-interval watchdog sees only the committed plan's own
@@ -637,14 +612,14 @@ controller_decision mistral_controller::step(const decision_input& in) {
             // full via the ladder above.
             const bool tripped =
                 la.first_duration > deg.search_deadline_fraction * cw;
-            if (tripped && !deadline_tripped_) ++dstats_.deadline_trips;
-            deadline_tripped_ = tripped;
+            if (tripped && !memory_.deadline_tripped) ++memory_.dstats.deadline_trips;
+            memory_.deadline_tripped = tripped;
             const bool la_tripped =
                 la.total_duration > lookahead_deadline_fraction * cw;
-            if (la_tripped && !lookahead_deadline_tripped_) {
-                ++lstats_.deadline_demotions;
+            if (la_tripped && !memory_.lookahead_deadline_tripped) {
+                ++memory_.lstats.deadline_demotions;
             }
-            lookahead_deadline_tripped_ = la_tripped;
+            memory_.lookahead_deadline_tripped = la_tripped;
         }
         if (obs::journaling(options_.sink)) {
             std::vector<double> step_utilities;
@@ -667,18 +642,18 @@ controller_decision mistral_controller::step(const decision_input& in) {
     } else {
         result = (greedy ? greedy_search_ : search_).find(base, rates, cw, uh,
                                                           meter_, now);
-        if (greedy) ++dstats_.greedy_decisions;
+        if (greedy) ++memory_.dstats.greedy_decisions;
 
         // Deadline watchdog feeding the next step's rung selection.
         if (deg.enabled) {
             const bool tripped =
                 result.stats.duration > deg.search_deadline_fraction * cw;
-            if (tripped && !deadline_tripped_) ++dstats_.deadline_trips;
-            deadline_tripped_ = tripped;
+            if (tripped && !memory_.deadline_tripped) ++memory_.dstats.deadline_trips;
+            memory_.deadline_tripped = tripped;
             // A decision completed inside the single-interval deadline also
             // drains the lookahead watchdog, so the ladder can eventually
             // promote back onto the lookahead rung.
-            if (!tripped) lookahead_deadline_tripped_ = false;
+            if (!tripped) memory_.lookahead_deadline_tripped = false;
         }
     }
 
@@ -691,7 +666,7 @@ controller_decision mistral_controller::step(const decision_input& in) {
     decision.ideal_utility = result.ideal_utility;
     decision.stats = result.stats;
     if (!decision.actions.empty()) {
-        intended_ = apply_plan(*model_, base, decision.actions);
+        memory_.intended = apply_plan(*model_, base, decision.actions);
     }
     // A greedy decision is deliberately partial: one action toward the ideal.
     // Leaving the bands centered where they were keeps the still-deviating

@@ -190,6 +190,35 @@ struct degraded_stats {
     std::int64_t deadline_trips = 0;    // search-deadline watchdog firings
 };
 
+// What the controller itself carries from one step to the next: the UH
+// history, the lookahead alarms, the reconciliation ledger and the ladder
+// state. This is the controller's storage for those fields; controller_state
+// adds the sub-objects' exports and the power cap.
+struct controller_memory {
+    std::vector<dollars> utility_history;
+    bool first_step = true;
+
+    // Lookahead (empty/false unless options.lookahead.enabled).
+    std::vector<bool> prev_forecaster_trusted;
+    bool lookahead_deadline_tripped = false;
+    lookahead_stats lstats;
+
+    // Reconciliation.
+    reconcile_stats rstats;
+    std::optional<cluster::configuration> intended;  // where the last plan lands
+    int fault_rounds = 0;          // consecutive fault-triggered replans
+    seconds backoff_until = 0.0;   // no fault-triggered replan before this
+
+    // Degraded mode (the fallback ladder).
+    control_mode mode = control_mode::full;
+    int clean_steps = 0;           // consecutive steps eligible for promotion
+    bool deadline_tripped = false; // last search blew its deadline fraction
+    std::vector<bool> prev_trusted;  // per predictor, for divergence events
+    degraded_stats dstats;
+
+    friend bool operator==(const controller_memory&, const controller_memory&) = default;
+};
+
 // The controller's complete mutable state, for exact-round-trip checkpoints
 // (core/snapshot.h). Everything a step() reads or writes is here — filter
 // and guard state, the ladder rung, the reconciliation ledger, the intended
@@ -199,25 +228,11 @@ struct degraded_stats {
 // tariff factors (import re-derives them from the tariff at the restore
 // time). A controller restored from this state emits decisions bit-identical
 // to one that never stopped.
-struct controller_state {
+struct controller_state : controller_memory {
     wl::monitor_state monitor;
     wl::validator_state validator;
     std::vector<predict::predictor_state> predictors;
-    std::vector<dollars> utility_history;
-    bool first_step = true;
     std::vector<predict::predictor_state> rate_forecasters;
-    std::vector<bool> prev_forecaster_trusted;
-    bool lookahead_deadline_tripped = false;
-    lookahead_stats lstats;
-    reconcile_stats rstats;
-    std::optional<cluster::configuration> intended;
-    int fault_rounds = 0;
-    seconds backoff_until = 0.0;
-    control_mode mode = control_mode::full;
-    int clean_steps = 0;
-    bool deadline_tripped = false;
-    std::vector<bool> prev_trusted;
-    degraded_stats dstats;
     watts power_cap = std::numeric_limits<watts>::infinity();
 
     friend bool operator==(const controller_state&, const controller_state&) = default;
@@ -256,20 +271,20 @@ public:
     [[nodiscard]] const controller_options& options() const { return options_; }
     [[nodiscard]] const adaptation_search& search() const { return search_; }
     [[nodiscard]] const utility_model& utility() const { return utility_; }
-    [[nodiscard]] const reconcile_stats& reconciliation() const { return rstats_; }
+    [[nodiscard]] const reconcile_stats& reconciliation() const { return memory_.rstats; }
     // Current ladder rung and degraded-mode totals.
-    [[nodiscard]] control_mode mode() const { return mode_; }
-    [[nodiscard]] const degraded_stats& degraded() const { return dstats_; }
+    [[nodiscard]] control_mode mode() const { return memory_.mode; }
+    [[nodiscard]] const degraded_stats& degraded() const { return memory_.dstats; }
     // Lookahead totals and the per-application rate forecasters (empty unless
     // options.lookahead.enabled).
-    [[nodiscard]] const lookahead_stats& lookahead() const { return lstats_; }
+    [[nodiscard]] const lookahead_stats& lookahead() const { return memory_.lstats; }
     [[nodiscard]] const std::vector<predict::stability_predictor>&
     rate_forecasters() const {
         return rate_forecasters_;
     }
     [[nodiscard]] const wl::telemetry_validator& validator() const { return validator_; }
     [[nodiscard]] dollars wasted_transient_cost() const {
-        return rstats_.wasted_transient_cost;
+        return memory_.rstats.wasted_transient_cost;
     }
 
 private:
@@ -285,28 +300,10 @@ private:
     // the main search's evaluation engine (and its app cache).
     adaptation_search greedy_search_;
     std::vector<predict::stability_predictor> predictors_;
-    std::vector<dollars> utility_history_;
-    bool first_step_ = true;
-
-    // Lookahead state (all empty/null unless options_.lookahead.enabled).
+    // Lookahead (empty/null unless options_.lookahead.enabled).
     std::unique_ptr<lookahead_planner> lookahead_;
     std::vector<predict::stability_predictor> rate_forecasters_;
-    std::vector<bool> prev_forecaster_trusted_;
-    bool lookahead_deadline_tripped_ = false;
-    lookahead_stats lstats_;
-
-    // Reconciliation state.
-    reconcile_stats rstats_;
-    std::optional<cluster::configuration> intended_;  // where the last plan lands
-    int fault_rounds_ = 0;          // consecutive fault-triggered replans
-    seconds backoff_until_ = 0.0;   // no fault-triggered replan before this
-
-    // Degraded-mode (fallback ladder) state.
-    control_mode mode_ = control_mode::full;
-    int clean_steps_ = 0;           // consecutive steps eligible for promotion
-    bool deadline_tripped_ = false; // last search blew its deadline fraction
-    std::vector<bool> prev_trusted_;  // per-predictor, for divergence events
-    degraded_stats dstats_;
+    controller_memory memory_;
 
     // Disabled one-branch no-ops unless options_.sink carries a registry.
     obs::counter obs_decisions_;

@@ -196,13 +196,8 @@ void global_coordinator::ensure_pods(const cluster::configuration& current) {
 coordinator_state global_coordinator::export_state() const {
     MISTRAL_CHECK_MSG(sharded_, "checkpointing is a sharded-mode feature");
     coordinator_state s;
-    s.pods.reserve(pods_.size());
+    static_cast<coordinator_memory&>(s) = memory_;
     for (const auto& pod : pods_) s.pods.push_back(pod->export_state());
-    s.budgets = budgets_;
-    s.brokered_migrations = brokered_migrations_;
-    s.stray_apps = stray_apps_;
-    s.health = health_;
-    s.pending = pending_;
     return s;
 }
 
@@ -228,16 +223,12 @@ void global_coordinator::import_state(const coordinator_state& s, seconds now) {
         }
     }
     // else: checkpoint predates the first decide; pods materialize lazily.
-    budgets_ = s.budgets;
-    brokered_migrations_ = s.brokered_migrations;
-    stray_apps_ = s.stray_apps;
-    health_ = s.health;
-    pending_ = s.pending;
+    memory_ = s;
 }
 
 void global_coordinator::reconcile_ownership(
     const cluster::configuration& current, seconds now) {
-    stray_apps_.clear();
+    memory_.stray_apps.clear();
     if (pods_.size() < 2) return;  // one pod owns everything by construction
 
     constexpr std::size_t npos = static_cast<std::size_t>(-1);
@@ -269,7 +260,7 @@ void global_coordinator::reconcile_ownership(
             // view can contain it. Park it unowned for the interval; the
             // gather pass emits the completing migrations.
             target = npos;
-            stray_apps_.push_back(a);
+            memory_.stray_apps.push_back(a);
         } else if (home[a] != npos) {
             target = home[a];
         } else {
@@ -380,16 +371,16 @@ void global_coordinator::redistribute_budgets(const decision_input& in,
         }
         weight_ptr = &weight;
     }
-    budgets_ = redistribute(total, reports, weight_ptr);
+    memory_.budgets = redistribute(total, reports, weight_ptr);
     // A zero share (an all-idle pod under a tight budget) still needs a
     // positive cap for the terminal gate; one milliwatt forbids any
     // powered-on host just as effectively. The milliwatt is *borrowed* from
     // the currently largest share, so the applied caps keep summing to the
     // cluster budget exactly (whenever the budget affords a milliwatt per
     // pod — below that no positive-cap split can conserve).
-    std::vector<std::int64_t> mw(budgets_.size());
-    for (std::size_t i = 0; i < budgets_.size(); ++i) {
-        mw[i] = std::llround(budgets_[i] * 1000.0);
+    std::vector<std::int64_t> mw(memory_.budgets.size());
+    for (std::size_t i = 0; i < memory_.budgets.size(); ++i) {
+        mw[i] = std::llround(memory_.budgets[i] * 1000.0);
     }
     for (std::size_t i = 0; i < mw.size(); ++i) {
         if (mw[i] > 0) continue;
@@ -398,15 +389,15 @@ void global_coordinator::redistribute_budgets(const decision_input& in,
         mw[i] = 1;
     }
     for (std::size_t i = 0; i < pods_.size(); ++i) {
-        budgets_[i] = static_cast<watts>(mw[i]) / 1000.0;
-        pods_[i]->set_budget(budgets_[i]);
+        memory_.budgets[i] = static_cast<watts>(mw[i]) / 1000.0;
+        pods_[i]->set_budget(memory_.budgets[i]);
     }
     if (obs::journaling(sink_)) {
         obs::event e("pod_budget", in.now);
         std::vector<double> draw, budget;
         for (std::size_t i = 0; i < pods_.size(); ++i) {
             draw.push_back(reports[i].draw);
-            budget.push_back(budgets_[i]);
+            budget.push_back(memory_.budgets[i]);
         }
         e.num("cluster_budget_watts", total)
             .num_list("draw_watts", std::move(draw))
@@ -505,7 +496,7 @@ strategy::outcome global_coordinator::decide_two_level(const decision_input& in)
 
 strategy::outcome global_coordinator::decide_sharded(const decision_input& in) {
     ensure_pods(in.current);
-    health_.resize(pods_.size());
+    memory_.health.resize(pods_.size());
     reconcile_ownership(in.current, in.now);
     resolve_pending(in);
     // A budget schedule (stepped power-cap emergency) overrides the static
@@ -515,7 +506,7 @@ strategy::outcome global_coordinator::decide_sharded(const decision_input& in) {
                                  ? options_.budget_schedule->at(in.now)
                                  : options_.power_budget;
     if (std::isfinite(budget_now)) redistribute_budgets(in, budget_now);
-    const std::int64_t moves_before = brokered_migrations_;
+    const std::int64_t moves_before = memory_.brokered_migrations;
 
     // With the fault machinery disarmed (no hook, no deadline) every branch
     // below that quarantines, holds, or inflates is untaken, keeping the
@@ -548,7 +539,7 @@ strategy::outcome global_coordinator::decide_sharded(const decision_input& in) {
         }
     }
     const auto steppable = [&](std::size_t i) {
-        return !faults[i].crashed && !health_[i].quarantined;
+        return !faults[i].crashed && !memory_.health[i].quarantined;
     };
 
     std::vector<pod_outcome> outs(pods_.size());
@@ -570,14 +561,14 @@ strategy::outcome global_coordinator::decide_sharded(const decision_input& in) {
 
     cluster::configuration probe = in.current;
     for (std::size_t i = 0; i < pods_.size(); ++i) {
-        if (health_[i].quarantined) {
+        if (memory_.health[i].quarantined) {
             // Hysteretic re-admission: only a streak of readmit_after clean
             // intervals releases the pod, so a flapping controller cannot
             // oscillate in and out faster than the threshold.
             if (faults[i].crashed) {
-                health_[i].clean_intervals = 0;
-            } else if (++health_[i].clean_intervals >= options_.readmit_after) {
-                health_[i] = pod_health{};
+                memory_.health[i].clean_intervals = 0;
+            } else if (++memory_.health[i].clean_intervals >= options_.readmit_after) {
+                memory_.health[i] = pod_health{};
                 if (obs::journaling(sink_)) {
                     obs::event e("pod_quarantine", in.now);
                     e.integer("pod", static_cast<std::int64_t>(i))
@@ -642,7 +633,7 @@ strategy::outcome global_coordinator::decide_sharded(const decision_input& in) {
         obs::event e("region_decision", in.now);
         e.num_list("pod_prices", pod_prices(in.now))
             .num("budget_watts", std::isfinite(budget_now) ? budget_now : -1.0)
-            .integer("brokered_moves", brokered_migrations_ - moves_before);
+            .integer("brokered_moves", memory_.brokered_migrations - moves_before);
         sink_->record(e);
     }
 
@@ -653,8 +644,8 @@ strategy::outcome global_coordinator::decide_sharded(const decision_input& in) {
 
 void global_coordinator::enter_quarantine(std::size_t pod, seconds now,
                                           const char* reason) {
-    health_[pod].quarantined = true;
-    health_[pod].clean_intervals = 0;
+    memory_.health[pod].quarantined = true;
+    memory_.health[pod].clean_intervals = 0;
     if (obs::journaling(sink_)) {
         obs::event e("pod_quarantine", now);
         e.integer("pod", static_cast<std::int64_t>(pod))
@@ -703,9 +694,9 @@ void global_coordinator::apply_failsafe(std::size_t pod,
 
 void global_coordinator::resolve_pending(const decision_input& in) {
     pull_back_.clear();
-    if (pending_.empty()) return;
+    if (memory_.pending.empty()) return;
     std::vector<pending_migration> still;
-    for (auto& pm : pending_) {
+    for (auto& pm : memory_.pending) {
         // Commit: every deployed VM of the app now sits on the acceptor's
         // hosts. Silent — the prepare already journaled the pod_migration.
         bool all_in_to = true;
@@ -748,15 +739,15 @@ void global_coordinator::resolve_pending(const decision_input& in) {
             sink_->record(e);
         }
     }
-    pending_ = std::move(still);
+    memory_.pending = std::move(still);
 }
 
 void global_coordinator::gather_strays(cluster::configuration& probe,
                                        outcome& out, seconds now) {
-    for (const std::size_t app : stray_apps_) {
+    for (const std::size_t app : memory_.stray_apps) {
         // A prepared migration still inside its window owns this app's fate;
         // gathering it elsewhere would race the handshake.
-        if (std::any_of(pending_.begin(), pending_.end(),
+        if (std::any_of(memory_.pending.begin(), memory_.pending.end(),
                         [&](const pending_migration& pm) {
                             return pm.app == app;
                         })) {
@@ -839,7 +830,7 @@ void global_coordinator::broker_migrations(cluster::configuration& probe,
         for (std::size_t i = 0; i < pods_.size(); ++i) {
             // A quarantined pod's controller is suspect: it neither donates
             // nor bids until re-admitted.
-            if (i < health_.size() && health_[i].quarantined) continue;
+            if (i < memory_.health.size() && memory_.health[i].quarantined) continue;
             if (reports[i].pressure <= options_.donor_pressure * scale(i)) continue;
             if (pods_[i]->apps().size() < 2) continue;
             if (donor < 0 ||
@@ -854,7 +845,7 @@ void global_coordinator::broker_migrations(cluster::configuration& probe,
         for (const std::size_t a : pods_[static_cast<std::size_t>(donor)]->apps()) {
             // An app whose previous handshake is still open cannot be
             // re-offered: a second plan would confuse commit detection.
-            if (std::any_of(pending_.begin(), pending_.end(),
+            if (std::any_of(memory_.pending.begin(), memory_.pending.end(),
                             [&](const pending_migration& pm) {
                                 return pm.app == a;
                             })) {
@@ -886,7 +877,7 @@ void global_coordinator::broker_migrations(cluster::configuration& probe,
         std::vector<cluster::action> best_plan;
         for (std::size_t j = 0; j < pods_.size(); ++j) {
             if (static_cast<int>(j) == donor) continue;
-            if (j < health_.size() && health_[j].quarantined) continue;
+            if (j < memory_.health.size() && memory_.health[j].quarantined) continue;
             if (reports[j].pressure >= options_.accept_pressure * scale(j)) continue;
             auto plan = first_fit_plan(*model_, probe, app, pods_[j]->spec().hosts);
             if (plan.empty()) continue;
@@ -911,7 +902,7 @@ void global_coordinator::broker_migrations(cluster::configuration& probe,
         // Prepare: the handshake stays open until the placements land in the
         // acceptor (commit), a plan action fails, or the window expires —
         // both aborts journal a `migration_abort` (resolve_pending).
-        pending_.push_back({.app = app,
+        memory_.pending.push_back({.app = app,
                             .from = static_cast<std::size_t>(donor),
                             .to = static_cast<std::size_t>(best),
                             .plan = best_plan,
@@ -922,7 +913,7 @@ void global_coordinator::broker_migrations(cluster::configuration& probe,
         // reconcile_ownership re-derives ownership from actual placements.
         pods_[static_cast<std::size_t>(donor)]->release_app(app);
         pods_[static_cast<std::size_t>(best)]->adopt_app(app);
-        ++brokered_migrations_;
+        ++memory_.brokered_migrations;
         obs_migrations_.add();
         if (regional && price[static_cast<std::size_t>(best)] <
                             price[static_cast<std::size_t>(donor)]) {

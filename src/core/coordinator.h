@@ -144,18 +144,29 @@ struct pending_migration {
                            const pending_migration&) = default;
 };
 
-// The coordinator's complete mutable state, for exact-round-trip checkpoints
-// (core/snapshot.h): per-pod controller states (which pin the app → pod
-// ownership), applied budget shares, broker totals, stray parking, quarantine
-// health, and open migration handshakes. Empty `pods` marks a checkpoint
-// taken before the first decide (pods materialize lazily).
-struct coordinator_state {
-    std::vector<pod_controller_state> pods;
+// What the coordinator itself carries from one interval to the next: the
+// applied budget shares, the broker total, stray parking, quarantine health
+// and open migration handshakes. This is the coordinator's storage for those
+// fields; coordinator_state adds the pods.
+struct coordinator_memory {
     std::vector<watts> budgets;
     std::int64_t brokered_migrations = 0;
+    // Apps whose VMs straddle pods this interval (a partially executed
+    // brokered plan); unowned until gather_strays reunifies them.
     std::vector<std::size_t> stray_apps;
-    std::vector<pod_health> health;
+    std::vector<pod_health> health;  // sharded mode; empty before the first decide
     std::vector<pending_migration> pending;
+
+    friend bool operator==(const coordinator_memory&,
+                           const coordinator_memory&) = default;
+};
+
+// The coordinator's complete mutable state, for exact-round-trip checkpoints
+// (core/snapshot.h): per-pod controller states (which pin the app → pod
+// ownership) and the coordinator's own memory. Empty `pods` marks a
+// checkpoint taken before the first decide (pods materialize lazily).
+struct coordinator_state : coordinator_memory {
+    std::vector<pod_controller_state> pods;
 
     friend bool operator==(const coordinator_state&,
                            const coordinator_state&) = default;
@@ -192,21 +203,21 @@ public:
     // one-milliwatt floor for zero-share pods, which borrows from the
     // largest share. Sums to power_budget exactly whenever the budget
     // affords one milliwatt per pod.
-    [[nodiscard]] const std::vector<watts>& budgets() const { return budgets_; }
+    [[nodiscard]] const std::vector<watts>& budgets() const { return memory_.budgets; }
     [[nodiscard]] std::int64_t brokered_migrations() const {
-        return brokered_migrations_;
+        return memory_.brokered_migrations;
     }
     // Per-pod quarantine state (sharded mode; empty before the first decide).
     [[nodiscard]] const std::vector<pod_health>& health() const {
-        return health_;
+        return memory_.health;
     }
     // Prepared brokered migrations that have not yet committed or aborted.
     [[nodiscard]] const std::vector<pending_migration>& pending_migrations() const {
-        return pending_;
+        return memory_.pending;
     }
     // Apps currently parked unowned (VMs straddling pods).
     [[nodiscard]] const std::vector<std::size_t>& stray_apps() const {
-        return stray_apps_;
+        return memory_.stray_apps;
     }
 
     // Exact-round-trip checkpointing (sharded mode; core/snapshot.h). The
@@ -239,14 +250,7 @@ private:
     std::vector<std::size_t> host_pod_;  // host index → pod id (sharded)
     std::vector<std::unique_ptr<pod_controller>> pods_;
     std::unique_ptr<mistral_controller> escalation_;  // two-level only
-    std::vector<watts> budgets_;
-    std::int64_t brokered_migrations_ = 0;
-    // Apps whose VMs straddle pods this interval (a partially executed
-    // brokered plan); unowned until gather_strays reunifies them.
-    std::vector<std::size_t> stray_apps_;
-    // Control-plane fault tolerance (sharded mode).
-    std::vector<pod_health> health_;
-    std::vector<pending_migration> pending_;
+    coordinator_memory memory_;
     // Timed-out migrations to pull back to their donor this interval
     // (app → donor pod), consumed by gather_strays.
     std::vector<std::pair<std::size_t, std::size_t>> pull_back_;

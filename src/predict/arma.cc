@@ -7,8 +7,19 @@
 
 namespace mistral::predict {
 
+namespace {
+
+// Appends `x` to a window of the last k values, dropping the oldest once the
+// window is full.
+void push_window(std::vector<double>& window, double x, int k) {
+    window.push_back(x);
+    if (window.size() > static_cast<std::size_t>(k)) window.erase(window.begin());
+}
+
+}  // namespace
+
 stability_predictor::stability_predictor(arma_options options)
-    : options_(options), estimate_(options.initial_estimate) {
+    : options_(options) {
     MISTRAL_CHECK(options_.history >= 1);
     MISTRAL_CHECK(options_.gamma >= 0.0 && options_.gamma <= 1.0);
     MISTRAL_CHECK(options_.initial_estimate > 0.0);
@@ -26,88 +37,49 @@ stability_predictor::stability_predictor(arma_options options)
     MISTRAL_CHECK(d.reestimate_max_retries >= 0);
     MISTRAL_CHECK(d.reestimate_backoff >= 1);
     MISTRAL_CHECK(d.min_pivot > 0.0);
-}
-
-predictor_state stability_predictor::export_state() const {
-    predictor_state s;
-    s.estimate = estimate_;
-    s.beta = beta_;
-    s.recent_measured.assign(recent_measured_.begin(), recent_measured_.end());
-    s.recent_errors.assign(recent_errors_.begin(), recent_errors_.end());
-    s.all_measured = all_measured_;
-    s.all_estimates = all_estimates_;
-    s.cusum = cusum_;
-    s.trusted = trusted_;
-    s.divergence_count = divergence_count_;
-    s.fit_attempts = fit_attempts_;
-    s.next_fit_at = next_fit_at_;
-    s.fit_valid = fit_valid_;
-    s.fit_coeffs = fit_coeffs_;
-    return s;
-}
-
-void stability_predictor::import_state(const predictor_state& s) {
-    estimate_ = s.estimate;
-    beta_ = s.beta;
-    recent_measured_.assign(s.recent_measured.begin(), s.recent_measured.end());
-    recent_errors_.assign(s.recent_errors.begin(), s.recent_errors.end());
-    all_measured_ = s.all_measured;
-    all_estimates_ = s.all_estimates;
-    cusum_ = s.cusum;
-    trusted_ = s.trusted;
-    divergence_count_ = s.divergence_count;
-    fit_attempts_ = s.fit_attempts;
-    next_fit_at_ = s.next_fit_at;
-    fit_valid_ = s.fit_valid;
-    fit_coeffs_ = s.fit_coeffs;
+    state_.estimate = options_.initial_estimate;
 }
 
 seconds stability_predictor::observe(seconds measured) {
     MISTRAL_CHECK(measured >= 0.0);
-    all_estimates_.push_back(estimate_);
-    all_measured_.push_back(measured);
+    state_.all_estimates.push_back(state_.estimate);
+    state_.all_measured.push_back(measured);
 
     // Smoothed error ε_j from the prediction that was in force.
-    const double current_error = std::abs(estimate_ - measured);
+    const double current_error = std::abs(state_.estimate - measured);
     double hist_error = 0.0;
-    if (!recent_errors_.empty()) {
-        for (double e : recent_errors_) hist_error += e;
-        hist_error /= static_cast<double>(recent_errors_.size());
+    if (!state_.recent_errors.empty()) {
+        for (double e : state_.recent_errors) hist_error += e;
+        hist_error /= static_cast<double>(state_.recent_errors.size());
     }
-    const double epsilon = recent_errors_.empty()
+    const double epsilon = state_.recent_errors.empty()
                                ? current_error
                                : (1.0 - options_.gamma) * current_error +
                                      options_.gamma * hist_error;
 
     // β = 1 − ε_j / max over the last k+1 errors (including ε_j itself).
     double max_error = epsilon;
-    for (double e : recent_errors_) max_error = std::max(max_error, e);
-    beta_ = max_error > 0.0 ? 1.0 - epsilon / max_error : 0.0;
+    for (double e : state_.recent_errors) max_error = std::max(max_error, e);
+    state_.beta = max_error > 0.0 ? 1.0 - epsilon / max_error : 0.0;
 
-    recent_errors_.push_back(epsilon);
-    if (recent_errors_.size() > static_cast<std::size_t>(options_.history)) {
-        recent_errors_.pop_front();
-    }
+    push_window(state_.recent_errors, epsilon, options_.history);
 
     // Next estimate: blend of the current measurement and the mean of the k
     // *previous* measurements (not including this one).
     double hist_measured = measured;  // fallback when no history exists yet
-    if (!recent_measured_.empty()) {
+    if (!state_.recent_measured.empty()) {
         hist_measured = 0.0;
-        for (double m : recent_measured_) hist_measured += m;
-        hist_measured /= static_cast<double>(recent_measured_.size());
+        for (double m : state_.recent_measured) hist_measured += m;
+        hist_measured /= static_cast<double>(state_.recent_measured.size());
     }
-    estimate_ = (1.0 - beta_) * measured + beta_ * hist_measured;
+    state_.estimate = (1.0 - state_.beta) * measured + state_.beta * hist_measured;
 
-    recent_measured_.push_back(measured);
-    if (recent_measured_.size() > static_cast<std::size_t>(options_.history)) {
-        recent_measured_.pop_front();
-    }
+    push_window(state_.recent_measured, measured, options_.history);
 
     // The guard runs after (and never alters) the blend above; it can only
-    // replace estimate_ once a hard alarm has declared the blend untrusted.
+    // replace the estimate once a hard alarm has declared the blend untrusted.
     if (options_.divergence.enabled) update_guard(measured);
-    return estimate_;
+    return state_.estimate;
 }
 
 std::vector<forecast_band> stability_predictor::forecast_horizon(
@@ -117,18 +89,19 @@ std::vector<forecast_band> stability_predictor::forecast_horizon(
     MISTRAL_CHECK(horizon.trend_damping >= 0.0 && horizon.trend_damping <= 1.0);
     MISTRAL_CHECK(horizon.min_width_fraction >= 0.0);
 
-    // Step 1 is the one-step prediction, bit-for-bit. (estimate_ is finite by
-    // construction — observe() rejects non-finite input via its range check —
-    // but the fallback keeps the API total under any future caller.)
-    double center = std::isfinite(estimate_) ? estimate_ : options_.initial_estimate;
+    // Step 1 is the one-step prediction, bit-for-bit. (The estimate is finite
+    // by construction — observe() rejects non-finite input via its range
+    // check — but the fallback keeps the API total under any future caller.)
+    double center =
+        std::isfinite(state_.estimate) ? state_.estimate : options_.initial_estimate;
 
     // Step-1 uncertainty: the smoothed recent prediction errors, floored so a
     // perfectly tracking filter still reports nonzero spread, scaled by the
     // divergence guard's band multiplier (a drifting filter is less certain).
     double base_width = 0.0;
-    if (!recent_errors_.empty()) {
-        for (double e : recent_errors_) base_width += e;
-        base_width /= static_cast<double>(recent_errors_.size());
+    if (!state_.recent_errors.empty()) {
+        for (double e : state_.recent_errors) base_width += e;
+        base_width /= static_cast<double>(state_.recent_errors.size());
     }
     const double floor =
         horizon.min_width_fraction * std::max(std::abs(center), 1.0);
@@ -138,9 +111,9 @@ std::vector<forecast_band> stability_predictor::forecast_horizon(
     // Damped trend over the history window's endpoints: the mean successive
     // difference of the last k measurements.
     double slope = 0.0;
-    if (recent_measured_.size() >= 2) {
-        slope = (recent_measured_.back() - recent_measured_.front()) /
-                static_cast<double>(recent_measured_.size() - 1);
+    if (state_.recent_measured.size() >= 2) {
+        slope = (state_.recent_measured.back() - state_.recent_measured.front()) /
+                static_cast<double>(state_.recent_measured.size() - 1);
     }
     if (!std::isfinite(slope)) slope = 0.0;
 
@@ -164,11 +137,13 @@ std::vector<forecast_band> stability_predictor::forecast_horizon(
 }
 
 double stability_predictor::mape_percent() const {
+    const std::vector<seconds>& measured = state_.all_measured;
+    const std::vector<seconds>& estimates = state_.all_estimates;
     double sum = 0.0;
     std::size_t n = 0;
-    for (std::size_t j = 1; j < all_measured_.size(); ++j) {
-        if (all_measured_[j] <= 0.0) continue;
-        sum += std::abs(all_estimates_[j] - all_measured_[j]) / all_measured_[j];
+    for (std::size_t j = 1; j < measured.size(); ++j) {
+        if (measured[j] <= 0.0) continue;
+        sum += std::abs(estimates[j] - measured[j]) / measured[j];
         ++n;
     }
     return n ? 100.0 * sum / static_cast<double>(n) : 0.0;
@@ -178,15 +153,15 @@ double stability_predictor::mape_percent() const {
 
 double stability_predictor::band_multiplier() const {
     const divergence_options& d = options_.divergence;
-    if (!d.enabled || cusum_ <= d.soft_threshold) return 1.0;
+    if (!d.enabled || state_.cusum <= d.soft_threshold) return 1.0;
     const double t = std::min(
-        1.0, (cusum_ - d.soft_threshold) / (d.hard_threshold - d.soft_threshold));
+        1.0, (state_.cusum - d.soft_threshold) / (d.hard_threshold - d.soft_threshold));
     return 1.0 + t * (d.max_band_scale - 1.0);
 }
 
 bool stability_predictor::reestimation_exhausted() const {
-    return !trusted_ && !fit_valid_ &&
-           fit_attempts_ >= options_.divergence.reestimate_max_retries;
+    return !state_.trusted && !state_.fit_valid &&
+           state_.fit_attempts >= options_.divergence.reestimate_max_retries;
 }
 
 void stability_predictor::update_guard(seconds measured) {
@@ -194,55 +169,56 @@ void stability_predictor::update_guard(seconds measured) {
     // Skip the first observation: its "prediction" is the cold-start
     // constant, not something the filter produced (same reasoning as
     // mape_percent skipping j = 0).
-    if (all_measured_.size() < 2) return;
-    const double in_force = all_estimates_.back();
+    if (state_.all_measured.size() < 2) return;
+    const double in_force = state_.all_estimates.back();
     const double norm_error =
         std::min(std::abs(in_force - measured) / std::max(measured, d.error_floor),
                  d.error_cap);
-    cusum_ = std::max(0.0, cusum_ + norm_error - d.slack);
-    cusum_ = std::min(cusum_, d.hard_threshold * d.drift_ceiling_factor);
+    state_.cusum = std::max(0.0, state_.cusum + norm_error - d.slack);
+    state_.cusum = std::min(state_.cusum, d.hard_threshold * d.drift_ceiling_factor);
 
-    if (trusted_ && cusum_ >= d.hard_threshold) {
-        trusted_ = false;
-        ++divergence_count_;
-        fit_attempts_ = 0;
-        fit_valid_ = false;
-        next_fit_at_ = all_measured_.size();  // eligible immediately
-    } else if (!trusted_ && cusum_ < d.soft_threshold) {
+    if (state_.trusted && state_.cusum >= d.hard_threshold) {
+        state_.trusted = false;
+        ++state_.divergence_count;
+        state_.fit_attempts = 0;
+        state_.fit_valid = false;
+        state_.next_fit_at = state_.all_measured.size();  // eligible immediately
+    } else if (!state_.trusted && state_.cusum < d.soft_threshold) {
         // Predictions track again; return to the paper's blend.
-        trusted_ = true;
-        fit_valid_ = false;
-        fit_coeffs_.clear();
+        state_.trusted = true;
+        state_.fit_valid = false;
+        state_.fit_coeffs.clear();
     }
 
-    if (!trusted_) attempt_reestimate();
+    if (!state_.trusted) attempt_reestimate();
 }
 
 void stability_predictor::attempt_reestimate() {
     const divergence_options& d = options_.divergence;
-    if (fit_valid_) {
-        estimate_ = ar_predict();
+    if (state_.fit_valid) {
+        state_.estimate = ar_predict();
         return;
     }
-    if (fit_attempts_ >= d.reestimate_max_retries) return;  // exhausted: keep blend
-    if (all_measured_.size() < next_fit_at_) return;        // backing off
-    ++fit_attempts_;
+    if (state_.fit_attempts >= d.reestimate_max_retries) return;  // exhausted: keep blend
+    if (state_.all_measured.size() < state_.next_fit_at) return;  // backing off
+    ++state_.fit_attempts;
     if (fit_ar()) {
-        fit_valid_ = true;
-        estimate_ = ar_predict();
+        state_.fit_valid = true;
+        state_.estimate = ar_predict();
     } else {
         // Ill-conditioned (or not enough history): wait for more data, with
         // the wait doubling on every further failure.
         const std::size_t backoff = static_cast<std::size_t>(d.reestimate_backoff)
-                                    << (fit_attempts_ - 1);
-        next_fit_at_ = all_measured_.size() + backoff;
+                                    << (state_.fit_attempts - 1);
+        state_.next_fit_at = state_.all_measured.size() + backoff;
     }
 }
 
 bool stability_predictor::fit_ar() {
     const divergence_options& d = options_.divergence;
     const int p = d.reestimate_order;
-    const std::size_t total = all_measured_.size();
+    const std::vector<seconds>& history = state_.all_measured;
+    const std::size_t total = history.size();
     if (total < static_cast<std::size_t>(d.reestimate_min_observations)) {
         return false;
     }
@@ -259,9 +235,9 @@ bool stability_predictor::fit_ar() {
     for (std::size_t t = first + static_cast<std::size_t>(p); t < total; ++t) {
         std::vector<double> x(m, 1.0);  // x[p] stays 1 (intercept)
         for (int i = 0; i < p; ++i) {
-            x[static_cast<std::size_t>(i)] = all_measured_[t - 1 - static_cast<std::size_t>(i)];
+            x[static_cast<std::size_t>(i)] = history[t - 1 - static_cast<std::size_t>(i)];
         }
-        const double y = all_measured_[t];
+        const double y = history[t];
         for (int r = 0; r < m; ++r) {
             for (int c = 0; c < m; ++c) {
                 ata[static_cast<std::size_t>(r) * m + c] += x[r] * x[c];
@@ -321,19 +297,19 @@ bool stability_predictor::fit_ar() {
         if (!std::isfinite(v)) return false;
         coeffs[static_cast<std::size_t>(r)] = v;
     }
-    fit_coeffs_ = std::move(coeffs);
+    state_.fit_coeffs = std::move(coeffs);
     return true;
 }
 
 seconds stability_predictor::ar_predict() const {
     const int p = options_.divergence.reestimate_order;
-    MISTRAL_CHECK(fit_coeffs_.size() == static_cast<std::size_t>(p) + 1);
-    MISTRAL_CHECK(all_measured_.size() >= static_cast<std::size_t>(p));
-    double out = fit_coeffs_.back();  // intercept
-    const std::size_t total = all_measured_.size();
+    MISTRAL_CHECK(state_.fit_coeffs.size() == static_cast<std::size_t>(p) + 1);
+    MISTRAL_CHECK(state_.all_measured.size() >= static_cast<std::size_t>(p));
+    double out = state_.fit_coeffs.back();  // intercept
+    const std::size_t total = state_.all_measured.size();
     for (int i = 0; i < p; ++i) {
-        out += fit_coeffs_[static_cast<std::size_t>(i)] *
-               all_measured_[total - 1 - static_cast<std::size_t>(i)];
+        out += state_.fit_coeffs[static_cast<std::size_t>(i)] *
+               state_.all_measured[total - 1 - static_cast<std::size_t>(i)];
     }
     // A stability interval is a duration: clamp the regression output to a
     // strictly positive floor so downstream CW clamping stays well-defined.

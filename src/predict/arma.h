@@ -26,7 +26,6 @@
 // is bit-identical to a guard-free build.
 #pragma once
 
-#include <deque>
 #include <vector>
 
 #include "common/units.h"
@@ -110,23 +109,28 @@ struct horizon_options {
     double min_width_fraction = 0.05;
 };
 
-// The predictor's complete mutable state, for exact-round-trip checkpoints
-// (core/snapshot.h). export_state ∘ import_state is the identity: a restored
-// predictor emits bit-identical estimates from the next observe() on.
+// The predictor's complete mutable state: its storage, and what exact
+// round-trip checkpoints (core/snapshot.h) carry. export_state ∘ import_state
+// is the identity: a restored predictor emits bit-identical estimates from
+// the next observe() on.
 struct predictor_state {
     seconds estimate = 0.0;
     double beta = 0.0;
-    std::vector<seconds> recent_measured;
-    std::vector<double> recent_errors;
+    std::vector<seconds> recent_measured;  // last k measurements, oldest first
+    std::vector<double> recent_errors;     // last k smoothed errors, oldest first
+    // Aligned: all_estimates[j] was the prediction in force when
+    // all_measured[j] arrived.
     std::vector<seconds> all_measured;
     std::vector<seconds> all_estimates;
+
+    // Divergence-guard state.
     double cusum = 0.0;
     bool trusted = true;
     int divergence_count = 0;
     int fit_attempts = 0;
-    std::size_t next_fit_at = 0;
+    std::size_t next_fit_at = 0;       // observation count gating the next try
     bool fit_valid = false;
-    std::vector<double> fit_coeffs;
+    std::vector<double> fit_coeffs;    // AR coefficients, then intercept
 
     friend bool operator==(const predictor_state&, const predictor_state&) = default;
 };
@@ -137,15 +141,15 @@ public:
 
     // Exact-round-trip checkpointing: options are *not* part of the state —
     // the restoring side constructs with the same options it was built with.
-    [[nodiscard]] predictor_state export_state() const;
-    void import_state(const predictor_state& s);
+    [[nodiscard]] predictor_state export_state() const { return state_; }
+    void import_state(const predictor_state& s) { state_ = s; }
 
     // Records a measured stability interval CW^m_j and returns the estimate
     // CW^e_{j+1} for the next control window.
     seconds observe(seconds measured);
 
     // The current prediction for the upcoming stability interval.
-    [[nodiscard]] seconds current_estimate() const { return estimate_; }
+    [[nodiscard]] seconds current_estimate() const { return state_.estimate; }
 
     // Per-interval forecast for the next k steps, for the receding-horizon
     // planner. The filter is unit-agnostic (the same β-blend forecasts
@@ -162,13 +166,17 @@ public:
         int k, const horizon_options& horizon = {}) const;
 
     // β chosen at the last observe() (0 until two observations exist).
-    [[nodiscard]] double last_beta() const { return beta_; }
+    [[nodiscard]] double last_beta() const { return state_.beta; }
 
     // Full estimate/measurement history (aligned: estimate[j] was the
     // prediction in force when measurement[j] arrived), for accuracy plots
     // like Fig. 6.
-    [[nodiscard]] const std::vector<seconds>& measurements() const { return all_measured_; }
-    [[nodiscard]] const std::vector<seconds>& estimates() const { return all_estimates_; }
+    [[nodiscard]] const std::vector<seconds>& measurements() const {
+        return state_.all_measured;
+    }
+    [[nodiscard]] const std::vector<seconds>& estimates() const {
+        return state_.all_estimates;
+    }
 
     // Mean absolute percentage error of the predictions so far (skips the
     // first observation, which had no informed estimate).
@@ -179,22 +187,22 @@ public:
     // False while the CUSUM detector holds a hard alarm; a controller should
     // not trust interval predictions (and, per the fallback ladder, should
     // hold its configuration) until this recovers.
-    [[nodiscard]] bool trusted() const { return trusted_; }
+    [[nodiscard]] bool trusted() const { return state_.trusted; }
 
     // ≥ 1; how much the workload bands should be widened right now. Exactly
     // 1.0 while the accumulated drift is below the soft threshold.
     [[nodiscard]] double band_multiplier() const;
 
     // Current accumulated drift (0 when the guard is disabled).
-    [[nodiscard]] double drift() const { return cusum_; }
+    [[nodiscard]] double drift() const { return state_.cusum; }
 
     // Times the guard transitioned trusted → untrusted.
-    [[nodiscard]] int divergence_count() const { return divergence_count_; }
+    [[nodiscard]] int divergence_count() const { return state_.divergence_count; }
 
     // Re-estimation bookkeeping since the last hard alarm.
-    [[nodiscard]] int reestimation_attempts() const { return fit_attempts_; }
+    [[nodiscard]] int reestimation_attempts() const { return state_.fit_attempts; }
     [[nodiscard]] bool reestimation_exhausted() const;
-    [[nodiscard]] bool reestimation_active() const { return fit_valid_; }
+    [[nodiscard]] bool reestimation_active() const { return state_.fit_valid; }
 
 private:
     void update_guard(seconds measured);
@@ -203,21 +211,7 @@ private:
     [[nodiscard]] seconds ar_predict() const;
 
     arma_options options_;
-    seconds estimate_;
-    double beta_ = 0.0;
-    std::deque<seconds> recent_measured_;  // last k measurements
-    std::deque<double> recent_errors_;     // last k smoothed errors
-    std::vector<seconds> all_measured_;
-    std::vector<seconds> all_estimates_;
-
-    // Guard state.
-    double cusum_ = 0.0;
-    bool trusted_ = true;
-    int divergence_count_ = 0;
-    int fit_attempts_ = 0;
-    std::size_t next_fit_at_ = 0;      // observation count gating the next try
-    bool fit_valid_ = false;
-    std::vector<double> fit_coeffs_;   // AR coefficients, then intercept
+    predictor_state state_;
 };
 
 }  // namespace mistral::predict

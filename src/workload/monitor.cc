@@ -33,21 +33,23 @@ std::string describe_flags(unsigned flags) {
 
 telemetry_validator::telemetry_validator(std::size_t app_count,
                                          validator_options options)
-    : options_(options),
-      last_good_(app_count, 0.0),
-      has_last_good_(app_count, false),
-      last_seen_(app_count, 0.0),
-      repeat_count_(app_count, 0) {
+    : options_(options) {
     MISTRAL_CHECK(app_count > 0);
     MISTRAL_CHECK(options_.max_rate > 0.0);
     MISTRAL_CHECK(options_.max_response_time > 0.0);
     MISTRAL_CHECK(options_.max_jump_factor == 0.0 || options_.max_jump_factor > 1.0);
     MISTRAL_CHECK(options_.jump_slack >= 0.0);
     MISTRAL_CHECK(options_.max_stuck_windows >= 0);
+    state_.last_good.assign(app_count, 0.0);
+    state_.has_last_good.assign(app_count, false);
+    state_.last_seen.assign(app_count, 0.0);
+    state_.repeat_count.assign(app_count, 0);
 }
 
+void telemetry_validator::import_state(const validator_state& s) { state_ = s; }
+
 quality_verdict telemetry_validator::validate(const telemetry_window& window) {
-    const std::size_t n = last_good_.size();
+    const std::size_t n = app_count();
     MISTRAL_CHECK_MSG(window.rates.size() == n,
                       "expected " << n << " rates, got " << window.rates.size());
     MISTRAL_CHECK(window.response_times.empty() || window.response_times.size() == n);
@@ -61,19 +63,19 @@ quality_verdict telemetry_validator::validate(const telemetry_window& window) {
         unsigned& flags = verdict.app_flags[a];
         const req_per_sec r = window.rates[a];
         // Substitute for values no downstream consumer can digest.
-        const req_per_sec fallback = has_last_good_[a] ? last_good_[a] : 0.0;
+        const req_per_sec fallback = state_.has_last_good[a] ? state_.last_good[a] : 0.0;
 
         // Staleness: exact bit repeats of the *reported* rate. Counted before
         // any substitution so a latched sensor is what is being measured.
         if (options_.max_stuck_windows > 0) {
-            const bool same =
-                !std::isnan(r) && !std::isnan(last_seen_[a]) && r == last_seen_[a];
-            repeat_count_[a] = same ? repeat_count_[a] + 1 : 0;
-            if (repeat_count_[a] >= options_.max_stuck_windows) {
+            const req_per_sec seen = state_.last_seen[a];
+            const bool same = !std::isnan(r) && !std::isnan(seen) && r == seen;
+            state_.repeat_count[a] = same ? state_.repeat_count[a] + 1 : 0;
+            if (state_.repeat_count[a] >= options_.max_stuck_windows) {
                 flags |= quality_stale;
             }
         }
-        last_seen_[a] = r;
+        state_.last_seen[a] = r;
 
         if (!std::isfinite(r) || r < 0.0) {
             flags |= quality_nonfinite;
@@ -89,8 +91,8 @@ quality_verdict telemetry_validator::validate(const telemetry_window& window) {
                 flags |= quality_out_of_range;
                 verdict.rates[a] = options_.max_rate;
             }
-            if (options_.max_jump_factor > 0.0 && has_last_good_[a]) {
-                const req_per_sec lg = last_good_[a];
+            if (options_.max_jump_factor > 0.0 && state_.has_last_good[a]) {
+                const req_per_sec lg = state_.last_good[a];
                 const bool jump_up =
                     r > lg * options_.max_jump_factor + options_.jump_slack;
                 const bool jump_down =
@@ -114,8 +116,8 @@ quality_verdict telemetry_validator::validate(const telemetry_window& window) {
         // even when flagged as a jump or stale: a legitimate flash crowd must
         // not pin the validator to a pre-crowd level forever.
         if ((flags & (quality_nonfinite | quality_empty)) == 0) {
-            last_good_[a] = verdict.rates[a];
-            has_last_good_[a] = true;
+            state_.last_good[a] = verdict.rates[a];
+            state_.has_last_good[a] = true;
         }
     }
 
@@ -128,96 +130,77 @@ quality_verdict telemetry_validator::validate(const telemetry_window& window) {
 }
 
 workload_monitor::workload_monitor(std::size_t app_count, req_per_sec band_width)
-    : width_(band_width),
-      bands_(app_count),
-      band_set_at_(app_count, 0.0),
-      history_(app_count) {
+    : width_(band_width) {
     MISTRAL_CHECK(app_count > 0);
     MISTRAL_CHECK(band_width >= 0.0);
+    state_.band_centers.assign(app_count, 0.0);
+    state_.band_widths.assign(app_count, 0.0);
+    state_.band_set_at.assign(app_count, 0.0);
+    state_.history.resize(app_count);
 }
 
 void workload_monitor::set_band_scale(double scale) {
     MISTRAL_CHECK(scale >= 1.0);
-    scale_ = scale;
-}
-
-monitor_state workload_monitor::export_state() const {
-    monitor_state s;
-    s.scale = scale_;
-    s.initialized = initialized_;
-    s.band_centers.reserve(bands_.size());
-    s.band_widths.reserve(bands_.size());
-    for (const auto& b : bands_) {
-        s.band_centers.push_back(b.center);
-        s.band_widths.push_back(b.width);
-    }
-    s.band_set_at = band_set_at_;
-    s.history = history_;
-    return s;
+    state_.scale = scale;
 }
 
 void workload_monitor::import_state(const monitor_state& s) {
-    MISTRAL_CHECK(s.band_centers.size() == bands_.size());
-    MISTRAL_CHECK(s.band_widths.size() == bands_.size());
-    MISTRAL_CHECK(s.band_set_at.size() == bands_.size());
-    MISTRAL_CHECK(s.history.size() == bands_.size());
-    scale_ = s.scale;
-    initialized_ = s.initialized;
-    for (std::size_t i = 0; i < bands_.size(); ++i) {
-        bands_[i].center = s.band_centers[i];
-        bands_[i].width = s.band_widths[i];
-    }
-    band_set_at_ = s.band_set_at;
-    history_ = s.history;
+    const std::size_t n = app_count();
+    MISTRAL_CHECK_MSG(s.band_centers.size() == n && s.band_widths.size() == n &&
+                          s.band_set_at.size() == n && s.history.size() == n,
+                      "checkpoint monitor state does not cover " << n << " apps");
+    state_ = s;
 }
 
 monitor_event workload_monitor::observe(seconds time,
                                         const std::vector<req_per_sec>& rates) {
-    MISTRAL_CHECK_MSG(rates.size() == bands_.size(),
-                      "expected " << bands_.size() << " rates, got " << rates.size());
+    MISTRAL_CHECK_MSG(rates.size() == app_count(),
+                      "expected " << app_count() << " rates, got " << rates.size());
     for (const req_per_sec r : rates) {
         MISTRAL_CHECK_MSG(std::isfinite(r),
                           "monitor rates must be finite (validate telemetry first)");
     }
     monitor_event event;
-    if (!initialized_) {
+    if (!state_.initialized) {
         recenter(time, rates);
-        initialized_ = true;
+        state_.initialized = true;
         return event;
     }
     for (std::size_t i = 0; i < rates.size(); ++i) {
         // The divergence guard's widening applies at check time; scale 1.0
         // multiplies exactly, so an unscaled monitor is bit-identical.
-        const band scaled{bands_[i].center, bands_[i].width * scale_};
+        const band scaled{state_.band_centers[i],
+                          state_.band_widths[i] * state_.scale};
         if (!scaled.contains(rates[i])) {
             event.any_exceeded = true;
             event.exceeded.push_back(i);
-            const seconds interval = time - band_set_at_[i];
+            const seconds interval = time - state_.band_set_at[i];
             event.completed_intervals.push_back(interval);
-            history_[i].push_back(interval);
+            state_.history[i].push_back(interval);
         }
     }
     return event;
 }
 
 void workload_monitor::recenter(seconds time, const std::vector<req_per_sec>& rates) {
-    MISTRAL_CHECK(rates.size() == bands_.size());
+    MISTRAL_CHECK(rates.size() == app_count());
     for (std::size_t i = 0; i < rates.size(); ++i) {
         MISTRAL_CHECK_MSG(std::isfinite(rates[i]),
                           "monitor rates must be finite (validate telemetry first)");
-        bands_[i] = band{rates[i], width_};
-        band_set_at_[i] = time;
+        state_.band_centers[i] = rates[i];
+        state_.band_widths[i] = width_;
+        state_.band_set_at[i] = time;
     }
 }
 
-const band& workload_monitor::band_of(std::size_t app) const {
-    MISTRAL_CHECK(app < bands_.size());
-    return bands_[app];
+band workload_monitor::band_of(std::size_t app) const {
+    MISTRAL_CHECK(app < app_count());
+    return {state_.band_centers[app], state_.band_widths[app]};
 }
 
 const std::vector<seconds>& workload_monitor::measured_intervals(std::size_t app) const {
-    MISTRAL_CHECK(app < history_.size());
-    return history_[app];
+    MISTRAL_CHECK(app < app_count());
+    return state_.history[app];
 }
 
 }  // namespace mistral::wl

@@ -106,12 +106,12 @@ struct validator_options {
     int max_stuck_windows = 0;
 };
 
-// The validator's complete mutable state, for exact-round-trip checkpoints
-// (core/snapshot.h).
+// The validator's complete mutable state, one entry per application: its
+// storage, and what exact-round-trip checkpoints (core/snapshot.h) carry.
 struct validator_state {
     std::vector<req_per_sec> last_good;
     std::vector<bool> has_last_good;
-    std::vector<req_per_sec> last_seen;
+    std::vector<req_per_sec> last_seen;  // for stuck-at detection
     std::vector<int> repeat_count;
 
     friend bool operator==(const validator_state&, const validator_state&) = default;
@@ -128,36 +128,27 @@ public:
     quality_verdict validate(const telemetry_window& window);
 
     [[nodiscard]] const validator_options& options() const { return options_; }
-    [[nodiscard]] std::size_t app_count() const { return last_good_.size(); }
+    [[nodiscard]] std::size_t app_count() const { return state_.last_good.size(); }
 
-    [[nodiscard]] validator_state export_state() const {
-        return {last_good_, has_last_good_, last_seen_, repeat_count_};
-    }
-    void import_state(const validator_state& s) {
-        last_good_ = s.last_good;
-        has_last_good_ = s.has_last_good;
-        last_seen_ = s.last_seen;
-        repeat_count_ = s.repeat_count;
-    }
+    [[nodiscard]] validator_state export_state() const { return state_; }
+    void import_state(const validator_state& s);
 
 private:
     validator_options options_;
-    std::vector<req_per_sec> last_good_;
-    std::vector<bool> has_last_good_;
-    std::vector<req_per_sec> last_seen_;   // for stuck-at detection
-    std::vector<int> repeat_count_;
+    validator_state state_;
 };
 
-// The monitor's complete mutable state, for exact-round-trip checkpoints
-// (core/snapshot.h). `width` (a constructor argument) is not included — the
-// restoring side constructs with the same width it was built with.
+// The monitor's complete mutable state, one entry per application in each
+// vector: its storage, and what exact-round-trip checkpoints
+// (core/snapshot.h) carry. `width` (a constructor argument) is not included —
+// the restoring side constructs with the same width it was built with.
 struct monitor_state {
     double scale = 1.0;
     bool initialized = false;
     std::vector<req_per_sec> band_centers;
     std::vector<req_per_sec> band_widths;
-    std::vector<seconds> band_set_at;
-    std::vector<std::vector<seconds>> history;
+    std::vector<seconds> band_set_at;             // when each band was centered
+    std::vector<std::vector<seconds>> history;    // measured intervals, oldest first
 
     friend bool operator==(const monitor_state&, const monitor_state&) = default;
 };
@@ -169,7 +160,9 @@ public:
     // first-level controller is configured.
     workload_monitor(std::size_t app_count, req_per_sec band_width);
 
-    [[nodiscard]] monitor_state export_state() const;
+    // import_state refuses (invariant_error) a state whose vectors do not
+    // hold one entry per application.
+    [[nodiscard]] monitor_state export_state() const { return state_; }
     void import_state(const monitor_state& s);
 
     // Feeds one monitoring-interval measurement (one rate per application,
@@ -181,12 +174,12 @@ public:
     // the controller has adapted to the new workload level).
     void recenter(seconds time, const std::vector<req_per_sec>& rates);
 
-    [[nodiscard]] const band& band_of(std::size_t app) const;
+    [[nodiscard]] band band_of(std::size_t app) const;
 
     // All stability intervals measured so far for `app`, oldest first.
     [[nodiscard]] const std::vector<seconds>& measured_intervals(std::size_t app) const;
 
-    [[nodiscard]] std::size_t app_count() const { return bands_.size(); }
+    [[nodiscard]] std::size_t app_count() const { return state_.band_centers.size(); }
     [[nodiscard]] req_per_sec band_width() const { return width_; }
 
     // Scales every band's effective width (≥ 1): the divergence guard widens
@@ -195,15 +188,11 @@ public:
     // The scale applies at the next observe/recenter; 1.0 (the default) is
     // bit-exact to an unscaled monitor.
     void set_band_scale(double scale);
-    [[nodiscard]] double band_scale() const { return scale_; }
+    [[nodiscard]] double band_scale() const { return state_.scale; }
 
 private:
     req_per_sec width_;
-    double scale_ = 1.0;
-    bool initialized_ = false;
-    std::vector<band> bands_;
-    std::vector<seconds> band_set_at_;                 // when each band was centered
-    std::vector<std::vector<seconds>> history_;        // per-app measured intervals
+    monitor_state state_;
 };
 
 }  // namespace mistral::wl
