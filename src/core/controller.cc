@@ -250,11 +250,14 @@ controller_state mistral_controller::export_state() const {
 }
 
 void mistral_controller::import_state(const controller_state& s, seconds now) {
-    MISTRAL_CHECK_MSG(s.predictors.size() == predictors_.size(),
-                      "checkpoint predictor count "
-                          << s.predictors.size() << " != controller's "
-                          << predictors_.size());
+    MISTRAL_CHECK_MSG(s.predictors.size() == predictors_.size() &&
+                          s.prev_trusted.size() == predictors_.size(),
+                      "checkpoint has " << s.predictors.size() << " predictors and "
+                                        << s.prev_trusted.size()
+                                        << " trust flags, controller has "
+                                        << predictors_.size() << " predictors");
     MISTRAL_CHECK(s.rate_forecasters.size() == rate_forecasters_.size());
+    MISTRAL_CHECK(s.prev_forecaster_trusted.size() == rate_forecasters_.size());
     monitor_.import_state(s.monitor);
     validator_.import_state(s.validator);
     for (std::size_t i = 0; i < predictors_.size(); ++i) {

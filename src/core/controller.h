@@ -254,7 +254,9 @@ public:
     // cost tables are reconstruction inputs, not state: the restoring side
     // builds an identically configured controller first, then imports.
     // `now` re-indexes the econ layer's tariff at the restore time; it is
-    // ignored when econ is disabled.
+    // ignored when econ is disabled. import_state refuses (invariant_error) a
+    // state whose per-app shapes do not fit this controller (DESIGN.md §16);
+    // a refused controller is to be discarded.
     [[nodiscard]] controller_state export_state() const;
     void import_state(const controller_state& s, seconds now);
 

@@ -203,13 +203,18 @@ coordinator_state global_coordinator::export_state() const {
 
 void global_coordinator::import_state(const coordinator_state& s, seconds now) {
     MISTRAL_CHECK_MSG(sharded_, "checkpointing is a sharded-mode feature");
+    MISTRAL_CHECK_MSG(s.pods.empty() || s.pods.size() == specs_.size(),
+                      "checkpoint has " << s.pods.size() << " pods, partition has "
+                                        << specs_.size());
+    // resolve_pending and the pull-back in gather_strays index pods by these.
+    for (const auto& pm : s.pending) {
+        MISTRAL_CHECK_MSG(pm.from < specs_.size() && pm.to < specs_.size(),
+                          "pending migration of app " << pm.app << " names pod "
+                                                      << std::max(pm.from, pm.to));
+    }
     pods_.clear();
     host_pod_.clear();
     if (!s.pods.empty()) {
-        MISTRAL_CHECK_MSG(s.pods.size() == specs_.size(),
-                          "checkpoint has " << s.pods.size()
-                                            << " pods, partition has "
-                                            << specs_.size());
         const partition parts(*model_, specs_);
         host_pod_.resize(model_->host_count());
         for (std::size_t h = 0; h < host_pod_.size(); ++h) {

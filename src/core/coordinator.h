@@ -224,6 +224,9 @@ public:
     // restoring side constructs an identically configured coordinator (same
     // model, costs, partition, builder, options), then imports. `now` is the
     // restore time, re-binding each pod controller's econ layer.
+    // import_state refuses (invariant_error) a state with a pod count other
+    // than the partition's or a pending migration naming a pod outside it; a
+    // refused coordinator is to be discarded.
     [[nodiscard]] coordinator_state export_state() const;
     void import_state(const coordinator_state& s, seconds now);
 

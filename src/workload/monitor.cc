@@ -46,7 +46,13 @@ telemetry_validator::telemetry_validator(std::size_t app_count,
     state_.repeat_count.assign(app_count, 0);
 }
 
-void telemetry_validator::import_state(const validator_state& s) { state_ = s; }
+void telemetry_validator::import_state(const validator_state& s) {
+    const std::size_t n = app_count();
+    MISTRAL_CHECK_MSG(s.last_good.size() == n && s.has_last_good.size() == n &&
+                          s.last_seen.size() == n && s.repeat_count.size() == n,
+                      "checkpoint validator state does not cover " << n << " apps");
+    state_ = s;
+}
 
 quality_verdict telemetry_validator::validate(const telemetry_window& window) {
     const std::size_t n = app_count();

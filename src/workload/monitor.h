@@ -130,6 +130,8 @@ public:
     [[nodiscard]] const validator_options& options() const { return options_; }
     [[nodiscard]] std::size_t app_count() const { return state_.last_good.size(); }
 
+    // import_state refuses (invariant_error) a state whose four vectors do
+    // not hold one entry per application: validate() indexes them per app.
     [[nodiscard]] validator_state export_state() const { return state_; }
     void import_state(const validator_state& s);
 

@@ -8,6 +8,7 @@
 #include <cmath>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "apps/rubis.h"
@@ -284,6 +285,86 @@ TEST(Snapshot, ImportedCoordinatorContinuesTheExactDecisionStream) {
         t += 120.0;
     }
     EXPECT_TRUE(original.export_state() == restored.export_state());
+}
+
+// A checkpoint read back from disk is refused when a shape that the next
+// decide() would index past is wrong. Each mutant of a live two-pod
+// checkpoint (lookahead on, so the forecasters' trust flags are
+// checkpointed) survives the codec and must make import_state throw
+// invariant_error; importing it used to read out of bounds.
+TEST(Snapshot, ImportRefusesShapesTheNextDecisionWouldIndexPast) {
+    const auto model = two_app_model(6);
+    const auto costs = cost::cost_table::paper_defaults();
+    const auto parts = partition(model, {{0, {0, 1, 2}}, {1, {3, 4, 5}}});
+    const controller_builder builder = controller_builder().lookahead(1);
+    global_coordinator live(model, costs, parts, builder);
+
+    cluster::configuration cfg(model.vm_count(), model.host_count());
+    for (std::int32_t h = 0; h < 6; ++h) cfg.set_host_power(host_id{h}, true);
+    for (std::size_t tier = 0; tier < 3; ++tier) {
+        cfg.deploy(model.tier_vms(app_id{0}, tier)[0],
+                   host_id{static_cast<std::int32_t>(tier)}, 0.3);
+        cfg.deploy(model.tier_vms(app_id{1}, tier)[0],
+                   host_id{static_cast<std::int32_t>(3 + tier)}, 0.3);
+    }
+    seconds t = 0.0;
+    for (const double rate : {40.0, 44.0, 60.0}) {
+        const auto out = live.decide({t, {rate, rate * 0.8}, cfg, 1.0});
+        for (const auto& a : out.actions) cfg = cluster::apply(model, cfg, a);
+        t += 120.0;
+    }
+    const coordinator_state checkpoint = live.export_state();
+    ASSERT_TRUE(checkpoint.pods[0].controller.has_value());
+    ASSERT_FALSE(checkpoint.pods[0].controller->prev_forecaster_trusted.empty());
+
+    const auto import_mutant = [&](const auto& mutate) {
+        coordinator_state s = checkpoint;
+        mutate(s);
+        const snapshot back =
+            snapshot_from_json(to_json(snapshot{snapshot_version, t, s}));
+        global_coordinator twin(model, costs, parts, builder);
+        twin.import_state(back.state, back.taken_at);
+    };
+    const auto controller = [](coordinator_state& s) -> controller_state& {
+        return *s.pods[0].controller;
+    };
+    EXPECT_NO_THROW(import_mutant([](coordinator_state&) {}));
+
+    pending_migration pm;
+    pm.app = 1;
+    pm.from = 0;
+    pm.to = 7;
+    pm.intervals_left = 2;
+    EXPECT_THROW(import_mutant([&](coordinator_state& s) { s.pending = {pm}; }),
+                 invariant_error);
+    std::swap(pm.from, pm.to);
+    EXPECT_THROW(import_mutant([&](coordinator_state& s) { s.pending = {pm}; }),
+                 invariant_error);
+
+    EXPECT_THROW(import_mutant([&](coordinator_state& s) {
+                     controller(s).validator.last_good.clear();
+                 }),
+                 invariant_error);
+    EXPECT_THROW(import_mutant([&](coordinator_state& s) {
+                     controller(s).validator.has_last_good.clear();
+                 }),
+                 invariant_error);
+    EXPECT_THROW(import_mutant([&](coordinator_state& s) {
+                     controller(s).validator.last_seen.clear();
+                 }),
+                 invariant_error);
+    EXPECT_THROW(import_mutant([&](coordinator_state& s) {
+                     controller(s).validator.repeat_count.clear();
+                 }),
+                 invariant_error);
+    EXPECT_THROW(import_mutant([&](coordinator_state& s) {
+                     controller(s).prev_trusted.clear();
+                 }),
+                 invariant_error);
+    EXPECT_THROW(import_mutant([&](coordinator_state& s) {
+                     controller(s).prev_forecaster_trusted.clear();
+                 }),
+                 invariant_error);
 }
 
 TEST(Snapshot, PreFirstDecideCheckpointRestoresLazily) {
