@@ -907,12 +907,13 @@ void global_coordinator::broker_migrations(cluster::configuration& probe,
         // Prepare: the handshake stays open until the placements land in the
         // acceptor (commit), a plan action fails, or the window expires —
         // both aborts journal a `migration_abort` (resolve_pending).
-        memory_.pending.push_back({.app = app,
-                            .from = static_cast<std::size_t>(donor),
-                            .to = static_cast<std::size_t>(best),
-                            .plan = best_plan,
-                            .prepared_at = now,
-                            .intervals_left = options_.migration_timeout_intervals});
+        memory_.pending.push_back(
+            {.app = app,
+             .from = static_cast<std::size_t>(donor),
+             .to = static_cast<std::size_t>(best),
+             .plan = best_plan,
+             .prepared_at = now,
+             .intervals_left = options_.migration_timeout_intervals});
         // Optimistic transfer: it keeps this interval's loop from re-offering
         // the app, and if the executor aborts the plan the next decide()'s
         // reconcile_ownership re-derives ownership from actual placements.
