@@ -40,6 +40,13 @@ stability_predictor::stability_predictor(arma_options options)
     state_.estimate = options_.initial_estimate;
 }
 
+void stability_predictor::import_state(const predictor_state& s) {
+    MISTRAL_CHECK_MSG(s.all_estimates.size() == s.all_measured.size(),
+                      "checkpoint has " << s.all_estimates.size() << " estimates for "
+                                        << s.all_measured.size() << " measurements");
+    state_ = s;
+}
+
 seconds stability_predictor::observe(seconds measured) {
     MISTRAL_CHECK(measured >= 0.0);
     state_.all_estimates.push_back(state_.estimate);

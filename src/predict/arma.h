@@ -141,8 +141,10 @@ public:
 
     // Exact-round-trip checkpointing: options are *not* part of the state —
     // the restoring side constructs with the same options it was built with.
+    // import_state refuses (invariant_error) a state whose estimate and
+    // measurement histories differ in length: mape_percent pairs them.
     [[nodiscard]] predictor_state export_state() const { return state_; }
-    void import_state(const predictor_state& s) { state_ = s; }
+    void import_state(const predictor_state& s);
 
     // Records a measured stability interval CW^m_j and returns the estimate
     // CW^e_{j+1} for the next control window.

@@ -365,6 +365,10 @@ TEST(Snapshot, ImportRefusesShapesTheNextDecisionWouldIndexPast) {
                      controller(s).prev_forecaster_trusted.clear();
                  }),
                  invariant_error);
+    EXPECT_THROW(import_mutant([&](coordinator_state& s) {
+                     controller(s).predictors[0].all_measured.push_back(600.0);
+                 }),
+                 invariant_error);
 }
 
 TEST(Snapshot, PreFirstDecideCheckpointRestoresLazily) {
