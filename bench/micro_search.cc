@@ -144,7 +144,8 @@ sweep_cell run_cell(std::size_t apps, int reps) {
 // `hosts / pods`, measuring the cold (first, full reconfiguration) and warm
 // (steady refinement after a 12 req/s drift) decisions. The modeled latency
 // is the meter's max-over-pods — pods decide concurrently in the model — and
-// is hardware-independent; wall clock is recorded alongside.
+// is hardware-independent; wall clock, with the pods stepped one after
+// another on the calling thread, is recorded alongside.
 struct pod_cell {
     std::size_t hosts = 0;
     std::size_t apps = 0;
@@ -161,12 +162,9 @@ pod_cell run_pod_cell(std::size_t hosts, std::size_t pods) {
     const std::size_t apps = hosts / 4;
     auto scn = core::make_rubis_scenario(
         {.host_count = hosts, .app_count = apps});
-    core::coordinator_options copts;
-    copts.parallel_pods = true;  // wall-clock only; the model is unaffected
     core::global_coordinator coord(scn.model,
                                    cost::cost_table::paper_defaults(),
-                                   core::uniform_partition(scn.model, pods),
-                                   {}, copts);
+                                   core::uniform_partition(scn.model, pods));
 
     pod_cell cell;
     cell.hosts = hosts;

@@ -101,11 +101,6 @@ host_id cluster_view::to_local_host(host_id parent) const {
     return host_id{host_to_local_[parent.index()]};
 }
 
-app_id cluster_view::to_parent_app(app_id local) const {
-    MISTRAL_CHECK(local.valid() && local.index() < app_to_parent_.size());
-    return app_id{static_cast<std::int32_t>(app_to_parent_[local.index()])};
-}
-
 app_id cluster_view::to_local_app(app_id parent) const {
     if (!parent.valid() || parent.index() >= app_to_local_.size()) return app_id{};
     return app_id{app_to_local_[parent.index()]};

@@ -67,7 +67,6 @@ public:
     // Id maps. to_local_* return an invalid id for entities outside the view.
     [[nodiscard]] host_id to_parent_host(host_id local) const;
     [[nodiscard]] host_id to_local_host(host_id parent) const;
-    [[nodiscard]] app_id to_parent_app(app_id local) const;
     [[nodiscard]] app_id to_local_app(app_id parent) const;
     [[nodiscard]] vm_id to_parent_vm(vm_id local) const;
     [[nodiscard]] vm_id to_local_vm(vm_id parent) const;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
-#include <thread>
 #include <utility>
 
 #include "common/check.h"
@@ -84,8 +83,7 @@ global_coordinator::global_coordinator(const cluster::cluster_model& model,
       builder_(std::move(builder)),
       options_(std::move(options)),
       name_("Mistral-Pods"),
-      sharded_(true),
-      specs_(parts.pods()) {
+      parts_(std::move(parts)) {
     MISTRAL_CHECK(options_.power_budget > 0.0);
     MISTRAL_CHECK(options_.max_brokered_moves >= 0);
     MISTRAL_CHECK(options_.pod_deadline > 0.0);
@@ -97,14 +95,14 @@ global_coordinator::global_coordinator(const cluster::cluster_model& model,
         }
     }
     if (!options_.regions.empty()) {
-        MISTRAL_CHECK_MSG(options_.regions.pod_count() == specs_.size(),
+        MISTRAL_CHECK_MSG(options_.regions.pod_count() == parts_->size(),
                           "pod→region map covers " << options_.regions.pod_count()
                                                    << " pods, partition has "
-                                                   << specs_.size());
+                                                   << parts_->size());
         // Each pod's controller plans under its own region's tariff: layer an
         // econ override per pod on top of whatever the caller registered
         // (pod overrides compose in order, builder.h).
-        for (std::size_t i = 0; i < specs_.size(); ++i) {
+        for (std::size_t i = 0; i < parts_->size(); ++i) {
             const auto& region = options_.regions.region(options_.regions.region_of(i));
             builder_.pod(i, [tariff = region.tariff](controller_options& opts) {
                 opts.econ.enabled = true;
@@ -137,8 +135,7 @@ global_coordinator::global_coordinator(const cluster::cluster_model& model,
       costs_(std::move(costs)),
       builder_(std::move(builder)),
       options_(std::move(options)),
-      name_("Mistral-2L"),
-      sharded_(false) {
+      name_("Mistral-2L") {
     MISTRAL_CHECK_MSG(options_.regions.empty(),
                       "regions are a sharded-mode feature");
     MISTRAL_CHECK_MSG(!options_.budget_schedule,
@@ -171,30 +168,28 @@ global_coordinator::global_coordinator(const cluster::cluster_model& model,
 }
 
 strategy::outcome global_coordinator::decide(const decision_input& in) {
-    return sharded_ ? decide_sharded(in) : decide_two_level(in);
+    return parts_ ? decide_sharded(in) : decide_two_level(in);
 }
 
 void global_coordinator::ensure_pods(const cluster::configuration& current) {
     if (!pods_.empty()) return;
-    const partition parts(*model_, specs_);
-    host_pod_.resize(model_->host_count());
-    for (std::size_t h = 0; h < host_pod_.size(); ++h) {
-        host_pod_[h] = parts.pod_of_host(h);
-    }
-    const auto owner = assign_apps(*model_, parts, current);
-    std::vector<std::vector<std::size_t>> per_pod(specs_.size());
-    for (std::size_t a = 0; a < owner.size(); ++a) {
-        per_pod[owner[a]].push_back(a);
-    }
-    for (std::size_t i = 0; i < specs_.size(); ++i) {
+    const auto owner = assign_apps(*model_, *parts_, current);
+    std::vector<std::vector<std::size_t>> apps(parts_->size());
+    for (std::size_t a = 0; a < owner.size(); ++a) apps[owner[a]].push_back(a);
+    build_pods(std::move(apps));
+}
+
+void global_coordinator::build_pods(std::vector<std::vector<std::size_t>> apps) {
+    pods_.clear();
+    for (std::size_t i = 0; i < parts_->size(); ++i) {
         pods_.push_back(std::make_unique<pod_controller>(
-            *model_, costs_, specs_[i], std::move(per_pod[i]), builder_,
+            *model_, costs_, parts_->pod(i), std::move(apps[i]), builder_,
             pod_lens::sharded));
     }
 }
 
 coordinator_state global_coordinator::export_state() const {
-    MISTRAL_CHECK_MSG(sharded_, "checkpointing is a sharded-mode feature");
+    MISTRAL_CHECK_MSG(parts_, "checkpointing is a sharded-mode feature");
     coordinator_state s;
     static_cast<coordinator_memory&>(s) = memory_;
     for (const auto& pod : pods_) s.pods.push_back(pod->export_state());
@@ -202,28 +197,22 @@ coordinator_state global_coordinator::export_state() const {
 }
 
 void global_coordinator::import_state(const coordinator_state& s, seconds now) {
-    MISTRAL_CHECK_MSG(sharded_, "checkpointing is a sharded-mode feature");
-    MISTRAL_CHECK_MSG(s.pods.empty() || s.pods.size() == specs_.size(),
+    MISTRAL_CHECK_MSG(parts_, "checkpointing is a sharded-mode feature");
+    MISTRAL_CHECK_MSG(s.pods.empty() || s.pods.size() == parts_->size(),
                       "checkpoint has " << s.pods.size() << " pods, partition has "
-                                        << specs_.size());
+                                        << parts_->size());
     // resolve_pending and the pull-back in gather_strays index pods by these.
     for (const auto& pm : s.pending) {
-        MISTRAL_CHECK_MSG(pm.from < specs_.size() && pm.to < specs_.size(),
+        MISTRAL_CHECK_MSG(pm.from < parts_->size() && pm.to < parts_->size(),
                           "pending migration of app " << pm.app << " names pod "
                                                       << std::max(pm.from, pm.to));
     }
     pods_.clear();
-    host_pod_.clear();
     if (!s.pods.empty()) {
-        const partition parts(*model_, specs_);
-        host_pod_.resize(model_->host_count());
-        for (std::size_t h = 0; h < host_pod_.size(); ++h) {
-            host_pod_[h] = parts.pod_of_host(h);
-        }
-        for (std::size_t i = 0; i < specs_.size(); ++i) {
-            pods_.push_back(std::make_unique<pod_controller>(
-                *model_, costs_, specs_[i], s.pods[i].apps, builder_,
-                pod_lens::sharded));
+        std::vector<std::vector<std::size_t>> apps;
+        for (const auto& pod : s.pods) apps.push_back(pod.apps);
+        build_pods(std::move(apps));
+        for (std::size_t i = 0; i < pods_.size(); ++i) {
             pods_[i]->import_state(s.pods[i], now);
         }
     }
@@ -250,7 +239,8 @@ void global_coordinator::reconcile_ownership(
     for (const auto& vm : model_->vms()) {
         const auto& p = current.placement(vm.vm);
         if (!p) continue;
-        const std::size_t pod = host_pod_[static_cast<std::size_t>(p->host.index())];
+        const std::size_t pod =
+            parts_->pod_of_host(static_cast<std::size_t>(p->host.index()));
         auto& h = home[vm.app.index()];
         if (h == npos) {
             h = pod;
@@ -513,27 +503,6 @@ strategy::outcome global_coordinator::decide_sharded(const decision_input& in) {
     if (std::isfinite(budget_now)) redistribute_budgets(in, budget_now);
     const std::int64_t moves_before = memory_.brokered_migrations;
 
-    // With the fault machinery disarmed (no hook, no deadline) every branch
-    // below that quarantines, holds, or inflates is untaken, keeping the
-    // decision stream bit-identical to the pre-fault coordinator.
-    const bool armed = static_cast<bool>(options_.pod_fault_hook) ||
-                       std::isfinite(options_.pod_deadline);
-
-    outcome out;
-    if (pods_.size() == 1 && !armed) {
-        // Single pod over the whole cluster: the identity lens passes the
-        // input straight through, so this path is byte-identical to the flat
-        // mistral_strategy (pod_equivalence_test.cc holds it to that).
-        const auto po = pods_[0]->step(in);
-        out.invoked = po.decision.invoked;
-        out.actions = po.actions;
-        out.decision_delay = po.decision.stats.duration;
-        out.decision_power_cost = po.decision.stats.search_power_cost;
-        out.stats = po.decision.stats;
-        emit_pod_decision(pods_[0].get(), po.decision, in.current, in.now);
-        return out;
-    }
-
     // Fault draws happen for every pod in pod-id order — quarantined pods
     // included — so the injector's draw stream never shifts with the health
     // state and a fault schedule replays bit-identically.
@@ -543,27 +512,18 @@ strategy::outcome global_coordinator::decide_sharded(const decision_input& in) {
             faults[i] = options_.pod_fault_hook(i);
         }
     }
-    const auto steppable = [&](std::size_t i) {
-        return !faults[i].crashed && !memory_.health[i].quarantined;
-    };
 
+    // Pods step on this interval's input in pod-id order, all before any
+    // outcome is applied: no pod sees a sibling's plan, and every pod's own
+    // journal lines precede the coordinator's verdicts.
     std::vector<pod_outcome> outs(pods_.size());
-    // Journal sinks are not thread-safe; journaling forces sequential pods.
-    if (options_.parallel_pods && !obs::journaling(sink_)) {
-        std::vector<std::thread> workers;
-        workers.reserve(pods_.size());
-        for (std::size_t i = 0; i < pods_.size(); ++i) {
-            if (!steppable(i)) continue;
-            workers.emplace_back(
-                [this, i, &in, &outs] { outs[i] = pods_[i]->step(in); });
-        }
-        for (auto& w : workers) w.join();
-    } else {
-        for (std::size_t i = 0; i < pods_.size(); ++i) {
-            if (steppable(i)) outs[i] = pods_[i]->step(in);
+    for (std::size_t i = 0; i < pods_.size(); ++i) {
+        if (!faults[i].crashed && !memory_.health[i].quarantined) {
+            outs[i] = pods_[i]->step(in);
         }
     }
 
+    outcome out;
     cluster::configuration probe = in.current;
     for (std::size_t i = 0; i < pods_.size(); ++i) {
         if (memory_.health[i].quarantined) {
@@ -767,7 +727,7 @@ void global_coordinator::gather_strays(cluster::configuration& probe,
             if (vm.app.index() != app) continue;
             const auto& p = probe.placement(vm.vm);
             if (!p) continue;
-            share[host_pod_[static_cast<std::size_t>(p->host.index())]] +=
+            share[parts_->pod_of_host(static_cast<std::size_t>(p->host.index()))] +=
                 p->cpu_cap;
         }
         std::size_t target = 0;

@@ -32,8 +32,9 @@
 //    invariant_error.
 //
 // Two modes share the class:
-//  * sharded  ("Mistral-Pods") — a validated partition of view-lens pods
-//    stepping concurrently; this is the scale mode (256 hosts and beyond).
+//  * sharded  ("Mistral-Pods") — a validated partition of view-lens pods,
+//    concurrent in the model (the decision delay is the slowest pod's) and
+//    stepped in pod-id order; this is the scale mode (256 hosts and beyond).
 //  * two_level ("Mistral-2L") — the paper's hierarchy: scoped level-1 pods
 //    plus a wide-band full-cluster escalation controller whose non-empty
 //    decisions preempt the pods for that interval (Section II-C).
@@ -79,11 +80,6 @@ struct coordinator_options {
     double donor_pressure = 0.85;   // propose eviction above this
     double accept_pressure = 0.65;  // bid for adoption below this
     int max_brokered_moves = 1;     // per interval
-    // Step pods on worker threads. Pod decisions are independent by
-    // construction; journaling forces sequential stepping anyway (the sink
-    // is not thread-safe), and the *modeled* decision latency is unaffected
-    // either way — pods are concurrent in the model (max, not sum).
-    bool parallel_pods = false;
     // Escalation controller's band width (two-level mode; paper: 8 req/s).
     req_per_sec escalation_band = 8.0;
     // Economics (sharded mode only). `regions` maps every pod to a region
@@ -211,10 +207,6 @@ public:
     [[nodiscard]] const std::vector<pod_health>& health() const {
         return memory_.health;
     }
-    // Prepared brokered migrations that have not yet committed or aborted.
-    [[nodiscard]] const std::vector<pending_migration>& pending_migrations() const {
-        return memory_.pending;
-    }
     // Apps currently parked unowned (VMs straddling pods).
     [[nodiscard]] const std::vector<std::size_t>& stray_apps() const {
         return memory_.stray_apps;
@@ -248,9 +240,7 @@ private:
     coordinator_options options_;
     std::string name_;
     obs::sink* sink_ = nullptr;  // the builder's sink, cached
-    bool sharded_ = false;
-    std::vector<pod_spec> specs_;  // sharded: pods_ built lazily from these
-    std::vector<std::size_t> host_pod_;  // host index → pod id (sharded)
+    std::optional<partition> parts_;  // sharded only: pods_ are built from it
     std::vector<std::unique_ptr<pod_controller>> pods_;
     std::unique_ptr<mistral_controller> escalation_;  // two-level only
     coordinator_memory memory_;
@@ -266,6 +256,8 @@ private:
     obs::counter obs_region_moves_;
 
     void ensure_pods(const cluster::configuration& current);
+    // (Re)builds one sharded pod per partition pod, pod i owning apps[i].
+    void build_pods(std::vector<std::vector<std::size_t>> apps);
     void reconcile_ownership(const cluster::configuration& current, seconds now);
     void gather_strays(cluster::configuration& probe, outcome& out, seconds now);
     // Two-phase bookkeeping: commit silently, abort on failure or timeout.

@@ -130,7 +130,6 @@ public:
     [[nodiscard]] const std::string& last_checkpoint() const {
         return checkpoint_;
     }
-    [[nodiscard]] std::size_t tail_length() const { return tail_.size(); }
 
 private:
     std::function<std::unique_ptr<global_coordinator>()> factory_;

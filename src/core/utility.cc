@@ -148,9 +148,4 @@ const econ_factors& utility_model::econ_now() const {
     return econ_->factors;
 }
 
-const econ_profile& utility_model::econ_profile_ref() const {
-    MISTRAL_CHECK_MSG(econ_ != nullptr, "no econ profile bound");
-    return econ_->profile;
-}
-
 }  // namespace mistral::core

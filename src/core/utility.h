@@ -128,7 +128,6 @@ public:
     bool update_econ(seconds now);
     [[nodiscard]] bool econ_bound() const { return econ_ != nullptr; }
     [[nodiscard]] const econ_factors& econ_now() const;
-    [[nodiscard]] const econ_profile& econ_profile_ref() const;
 
 private:
     struct econ_state {

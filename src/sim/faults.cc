@@ -277,8 +277,7 @@ std::vector<telemetry_fault> sensor_fault_injector::corrupt(
 // Control-plane fault injection.
 
 bool control_fault_options::inert() const {
-    return crash_probability <= 0.0 && hang_probability <= 0.0 &&
-           coordinator_restarts.empty();
+    return crash_probability <= 0.0 && hang_probability <= 0.0;
 }
 
 control_fault_injector::control_fault_injector(control_fault_options options,
@@ -295,8 +294,6 @@ control_fault_injector::control_fault_injector(control_fault_options options,
         "control fault probabilities sum to "
             << options_.crash_probability + options_.hang_probability);
     MISTRAL_CHECK(options_.hang_multiplier >= 1.0);
-    std::sort(options_.coordinator_restarts.begin(),
-              options_.coordinator_restarts.end());
 }
 
 control_fault control_fault_injector::on_pod_step(std::size_t) {
@@ -314,16 +311,6 @@ control_fault control_fault_injector::on_pod_step(std::size_t) {
             1.0 + magnitude_draw * (options_.hang_multiplier - 1.0);
     }
     return out;
-}
-
-std::vector<seconds> control_fault_injector::take_restarts_due(seconds t) {
-    std::vector<seconds> due;
-    while (next_restart_ < options_.coordinator_restarts.size() &&
-           options_.coordinator_restarts[next_restart_] <= t) {
-        due.push_back(options_.coordinator_restarts[next_restart_]);
-        ++next_restart_;
-    }
-    return due;
 }
 
 }  // namespace mistral::sim

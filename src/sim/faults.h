@@ -202,10 +202,6 @@ struct control_fault_options {
     // possibly blowing the coordinator's per-pod deadline.
     double hang_probability = 0.0;
     double hang_multiplier = 4.0;
-    // Scheduled coordinator restarts: at each listed time the whole control
-    // plane is torn down and warm-restarted from its latest checkpoint plus
-    // the decision-journal tail (see core/snapshot.h).
-    std::vector<seconds> coordinator_restarts;
 
     [[nodiscard]] bool inert() const;
 };
@@ -232,14 +228,10 @@ public:
     // pod per interval, in pod-id order.
     control_fault on_pod_step(std::size_t pod);
 
-    // Restart times with `at` <= t, in schedule order; each is returned once.
-    std::vector<seconds> take_restarts_due(seconds t);
-
 private:
     control_fault_options options_{};
     rng draws_{0};
     bool inert_ = true;
-    std::size_t next_restart_ = 0;  // into options_.coordinator_restarts (sorted)
 };
 
 }  // namespace mistral::sim

@@ -89,7 +89,6 @@ public:
     testbed(const cluster::cluster_model& model, cluster::configuration initial,
             testbed_options options = {});
 
-    [[nodiscard]] const cluster::cluster_model& nominal_model() const { return *nominal_; }
     [[nodiscard]] const cluster::configuration& config() const { return config_; }
     [[nodiscard]] seconds now() const { return now_; }
     [[nodiscard]] const testbed_options& options() const { return options_; }

@@ -167,7 +167,6 @@ TEST_F(ChaosTest, RandomizedSoakHoldsTheInvariants) {
     fopts.crash_probability = 0.15;
     fopts.hang_probability = 0.2;
     fopts.hang_multiplier = 6.0;
-    fopts.coordinator_restarts = {900.0, 3000.0, 5100.0};
     sim::control_fault_injector injector(fopts, 0xC4A05u);
 
     coordinator_options opts;
@@ -184,7 +183,7 @@ TEST_F(ChaosTest, RandomizedSoakHoldsTheInvariants) {
 
     restart_options ropts;
     ropts.checkpoint_every = 7;
-    ropts.restart_at = fopts.coordinator_restarts;
+    ropts.restart_at = {900.0, 3000.0, 5100.0};
     restartable_coordinator coord(
         [&] {
             return std::make_unique<global_coordinator>(model, costs, halves(),

@@ -8,10 +8,13 @@
 
 #include <bit>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "core/coordinator.h"
 #include "core/experiment.h"
+#include "obs/journal.h"
+#include "obs/metrics.h"
 #include "workload/generators.h"
 
 namespace mistral::core {
@@ -81,43 +84,62 @@ TEST(PodEquivalence, DecisionTraceIsIdenticalStepByStep) {
     }
 }
 
-// Pod threads (coordinator_options::parallel_pods) are the only threads the
-// controller spawns. Stepping four pods concurrently must decide exactly as
-// stepping them in pod-id order: same plans, same modeled delay bits, same
-// redistributed budgets. Runs under the `sanitize` label, so the tsan job
-// race-checks the pod threads.
-TEST(PodEquivalence, ParallelPodsMatchSequentialPods) {
+// A journal observes the sharded coordinator without steering it: four
+// pods under a budget decide the same plans, modeled delay bits and pod
+// budgets with a journaling, metered sink as with none. Runs under the
+// `sanitize` label, so the asan job memory-checks the journaled pod path.
+TEST(PodEquivalence, JournalDoesNotPerturbShardedPods) {
     scenario_options so;
     so.host_count = 16;
     so.app_count = 4;
     const auto scn = make_rubis_scenario(so);
     const auto costs = cost::cost_table::paper_defaults();
     const auto parts = uniform_partition(scn.model, 4);
-    coordinator_options sequential_opts;  // no sink: nothing forces sequence
-    sequential_opts.power_budget = 1600.0;
-    coordinator_options parallel_opts = sequential_opts;
-    parallel_opts.parallel_pods = true;
-    global_coordinator sequential(scn.model, costs, parts, {}, sequential_opts);
-    global_coordinator parallel(scn.model, costs, parts, {}, parallel_opts);
+    coordinator_options opts;
+    opts.power_budget = 1600.0;
+    obs::metrics_registry registry;
+    obs::memory_sink journal(&registry);
+    controller_builder journaled_builder;
+    journaled_builder.sink(&journal);
+    global_coordinator plain(scn.model, costs, parts, {}, opts);
+    global_coordinator journaled(scn.model, costs, parts, journaled_builder, opts);
 
     auto cfg = scn.initial;
     std::size_t invoked = 0;
-    for (int i = 0; i < 10; ++i) {
+    constexpr int intervals = 10;
+    for (int i = 0; i < intervals; ++i) {
         const seconds t = i * 120.0;
         const std::vector<req_per_sec> rates(4, 40.0 + 15.0 * (i % 4));
-        const auto os = sequential.decide({t, rates, cfg, 1.0});
-        const auto op = parallel.decide({t, rates, cfg, 1.0});
-        ASSERT_EQ(op.invoked, os.invoked) << "interval " << i;
-        ASSERT_EQ(op.actions, os.actions) << "interval " << i;
-        EXPECT_EQ(std::bit_cast<std::uint64_t>(op.decision_delay),
-                  std::bit_cast<std::uint64_t>(os.decision_delay))
+        const auto op = plain.decide({t, rates, cfg, 1.0});
+        const auto oj = journaled.decide({t, rates, cfg, 1.0});
+        ASSERT_EQ(oj.invoked, op.invoked) << "interval " << i;
+        ASSERT_EQ(oj.actions, op.actions) << "interval " << i;
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(oj.decision_delay),
+                  std::bit_cast<std::uint64_t>(op.decision_delay))
             << "interval " << i;
-        ASSERT_EQ(parallel.budgets().size(), 4u);
-        EXPECT_EQ(parallel.budgets(), sequential.budgets()) << "interval " << i;
-        invoked += os.invoked ? 1 : 0;
-        for (const auto& a : os.actions) cfg = apply(scn.model, cfg, a);
+        ASSERT_EQ(journaled.budgets().size(), 4u);
+        EXPECT_EQ(journaled.budgets(), plain.budgets()) << "interval " << i;
+        invoked += op.invoked ? 1 : 0;
+        for (const auto& a : op.actions) cfg = apply(scn.model, cfg, a);
     }
     EXPECT_GE(invoked, 2u);
+
+    // One pod_decision line per pod per interval, and the pods' decision
+    // counters agree with the invoked ones among them.
+    ASSERT_EQ(journal.count("pod_decision"), std::size_t{4 * intervals});
+    std::int64_t journaled_invocations = 0;
+    for (const auto& e : journal.events()) {
+        if (e.type == "pod_decision" && e.find("invoked")->boolean) {
+            ++journaled_invocations;
+        }
+    }
+    std::int64_t counted = 0;
+    for (int pod = 0; pod < 4; ++pod) {
+        counted += registry.counter_value("mistral_pod_" + std::to_string(pod) +
+                                          "_decisions_total");
+    }
+    EXPECT_GT(counted, 0);
+    EXPECT_EQ(counted, journaled_invocations);
 }
 
 }  // namespace

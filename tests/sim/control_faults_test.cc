@@ -1,10 +1,8 @@
-// control_fault_injector: provable inertness at zero probabilities, the
-// two-draw-per-pod determinism discipline, and the restart schedule cursor.
+// control_fault_injector: provable inertness at zero probabilities and the
+// two-draw-per-pod determinism discipline.
 #include "sim/faults.h"
 
 #include <gtest/gtest.h>
-
-#include <vector>
 
 #include "common/check.h"
 
@@ -19,24 +17,16 @@ TEST(ControlFaults, DefaultConstructedIsInert) {
         EXPECT_FALSE(f.crashed);
         EXPECT_EQ(f.hang_multiplier, 1.0);
     }
-    EXPECT_TRUE(inj.take_restarts_due(1e9).empty());
 }
 
 TEST(ControlFaults, ZeroProbabilitiesAreInert) {
-    control_fault_options opts;  // all zero, no restarts
+    control_fault_options opts;  // all zero
     EXPECT_TRUE(opts.inert());
     control_fault_injector inj(opts, 123);
     EXPECT_TRUE(inj.inert());
     const auto f = inj.on_pod_step(0);
     EXPECT_FALSE(f.crashed);
     EXPECT_EQ(f.hang_multiplier, 1.0);
-}
-
-TEST(ControlFaults, ScheduledRestartsAloneArmTheInjector) {
-    control_fault_options opts;
-    opts.coordinator_restarts = {300.0};
-    EXPECT_FALSE(opts.inert());
-    EXPECT_FALSE(control_fault_injector(opts, 1).inert());
 }
 
 TEST(ControlFaults, SameSeedReproducesTheExactVerdictStream) {
@@ -95,19 +85,6 @@ TEST(ControlFaults, VerdictStreamIsPositionalNotPodDependent) {
         EXPECT_EQ(fa.crashed, fb.crashed) << "draw " << k;
         EXPECT_EQ(fa.hang_multiplier, fb.hang_multiplier) << "draw " << k;
     }
-}
-
-TEST(ControlFaults, RestartScheduleDrainsInOrderOnce) {
-    control_fault_options opts;
-    opts.crash_probability = 0.0;
-    opts.coordinator_restarts = {900.0, 300.0, 600.0};  // ctor sorts
-    control_fault_injector inj(opts, 5);
-    EXPECT_TRUE(inj.take_restarts_due(100.0).empty());
-    EXPECT_EQ(inj.take_restarts_due(300.0), std::vector<seconds>{300.0});
-    EXPECT_TRUE(inj.take_restarts_due(300.0).empty());  // each fires once
-    const auto both = inj.take_restarts_due(1000.0);
-    EXPECT_EQ(both, (std::vector<seconds>{600.0, 900.0}));
-    EXPECT_TRUE(inj.take_restarts_due(1e9).empty());
 }
 
 TEST(ControlFaults, RejectsIllegalOptions) {
